@@ -1,15 +1,15 @@
 // Serving throughput/latency harness: trains a RAPID model once, ships it
 // through the snapshot path (train -> save -> load, exactly what a serving
-// process does), then replays an identical request stream through
-// `serve::ServingEngine` at worker counts 1/2/4/8 and reports throughput,
-// latency percentiles, and fallback counts as JSON.
+// process does), then replays an identical request stream through a
+// one-slot `serve::ServingRouter` at worker counts 1/2/4/8 and reports
+// throughput, latency percentiles, and fallback counts as JSON.
 //
 // The sweep runs in two modes:
 //  - "compute":       requests are pure model inference. Scaling here
 //                     tracks physical cores (flat on a 1-core box).
 //  - "fetch+compute": each request first emulates the feature-store /
 //                     candidate-fetch RPC that precedes scoring in a live
-//                     recommender (cf. arXiv:2004.06390). The engine
+//                     recommender (cf. arXiv:2004.06390). The router
 //                     overlaps those waits across workers, so this mode
 //                     demonstrates the concurrency win (>= 2x from 1 -> 4
 //                     workers) even when cores are scarce.
@@ -24,12 +24,13 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "serve/engine.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace {
@@ -93,7 +94,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[serving] snapshot save failed\n");
     return 1;
   }
-  const auto model = serve::Snapshot::Load(snapshot_path, env.dataset());
+  const std::shared_ptr<const rerank::Reranker> model =
+      serve::Snapshot::Load(snapshot_path, env.dataset());
   if (model == nullptr) {
     std::fprintf(stderr, "[serving] snapshot load failed\n");
     return 1;
@@ -122,31 +124,33 @@ int main(int argc, char** argv) {
   std::string results_json;
   bool first = true;
   for (const Mode& mode : modes) {
-    const FetchStallReranker served(*model, mode.stall_us);
+    const auto served =
+        std::make_shared<FetchStallReranker>(*model, mode.stall_us);
     double throughput_1 = 0.0;
     for (int threads : {1, 2, 4, 8}) {
       serve::ServingStats stats;  // From the last repetition.
       const bench::RepeatStats reps = bench::Repeat(repetitions, [&] {
-        serve::ServingConfig serving;
+        serve::RouterConfig serving;
         serving.num_threads = threads;
         serving.max_batch = 4;
         serving.max_wait_us = 100;
         serving.queue_capacity = 256;
         serving.deadline_us = 0;  // Measure the pure model path.
-        serve::ServingEngine engine(env.dataset(), served, serving);
+        serve::ServingRouter router(env.dataset(), serving);
+        router.InstallSlot("main", served);
 
         const auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::future<serve::RerankResponse>> futures;
+        std::vector<std::future<serve::RouterResponse>> futures;
         futures.reserve(stream.size());
         for (const data::ImpressionList* list : stream) {
-          futures.push_back(engine.Submit(*list));
+          futures.push_back(router.Submit({"main", serve::Lane::kHigh, *list}));
         }
         for (auto& f : futures) f.get();
         const double secs = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
-        engine.Shutdown();
-        stats = engine.stats();
+        router.Shutdown();
+        stats = router.stats().total;
         return static_cast<double>(total_requests) / secs;
       });
 
@@ -177,18 +181,19 @@ int main(int argc, char** argv) {
 
   // Final pass: a tight deadline at 4 threads to exercise the graceful
   // degradation path under load.
-  serve::ServingConfig serving;
+  serve::RouterConfig serving;
   serving.num_threads = 4;
   serving.deadline_us = quick ? 2000 : 5000;
   serving.fallback = serve::FallbackPolicy::kInitialOrder;
-  serve::ServingEngine engine(env.dataset(), *model, serving);
-  std::vector<std::future<serve::RerankResponse>> futures;
+  serve::ServingRouter router(env.dataset(), serving);
+  router.InstallSlot("main", model);
+  std::vector<std::future<serve::RouterResponse>> futures;
   for (const data::ImpressionList* list : stream) {
-    futures.push_back(engine.Submit(*list));
+    futures.push_back(router.Submit({"main", serve::Lane::kHigh, *list}));
   }
   for (auto& f : futures) f.get();
-  engine.Shutdown();
-  const serve::ServingStats stats = engine.stats();
+  router.Shutdown();
+  const serve::ServingStats stats = router.stats().total;
   std::fprintf(stderr,
                "[serving] deadline=%lldus: %llu/%llu degraded to fallback\n",
                static_cast<long long>(serving.deadline_us),

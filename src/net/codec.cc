@@ -129,6 +129,11 @@ void AppendServingStats(std::vector<uint8_t>* out,
   Append<uint32_t>(out, serve::ServingStats::kLatencyHistBins);
   AppendBytes(out, s.latency_hist.data(),
               s.latency_hist.size() * sizeof(uint64_t));
+  Append<uint64_t>(out, s.arena_heap_allocs);
+  Append<uint64_t>(out, s.arena_allocs);
+  Append<uint64_t>(out, s.arena_chunk_mallocs);
+  Append<uint64_t>(out, s.arena_reserved_bytes);
+  Append<uint64_t>(out, s.arena_high_water_bytes);
 }
 
 bool ReadServingStats(ByteReader* reader, serve::ServingStats* s) {
@@ -157,7 +162,11 @@ bool ReadServingStats(ByteReader* reader, serve::ServingStats* s) {
   for (uint64_t& bin : s->latency_hist) {
     if (!reader->Read(&bin)) return false;
   }
-  return true;
+  return reader->Read(&s->arena_heap_allocs) &&
+         reader->Read(&s->arena_allocs) &&
+         reader->Read(&s->arena_chunk_mallocs) &&
+         reader->Read(&s->arena_reserved_bytes) &&
+         reader->Read(&s->arena_high_water_bytes);
 }
 
 void AppendCacheStats(std::vector<uint8_t>* out, const serve::CacheStats& s) {

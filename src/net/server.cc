@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,10 +18,6 @@
 #include "online/feedback.h"
 #include "page/page.h"
 #include "serve/prometheus.h"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 namespace rapid::net {
 
@@ -81,65 +77,22 @@ struct Server::Connection {
 
 class Server::Poller {
  public:
-  virtual ~Poller() = default;
   struct Event {
     int fd = -1;
     bool readable = false;
     bool writable = false;
     bool error = false;
   };
-  /// Registers, re-arms, or (mask 0) removes `fd`. Level-triggered.
-  virtual void Watch(int fd, uint32_t mask) = 0;
-  virtual void Wait(int timeout_ms, std::vector<Event>* out) = 0;
-};
 
-namespace {
-
-/// Portable fallback: rebuilds the pollfd array per wait. O(fds) per call,
-/// which is irrelevant below a few hundred connections.
-class PollPoller : public Server::Poller {
- public:
-  void Watch(int fd, uint32_t mask) override {
-    if (mask == 0) {
-      masks_.erase(fd);
-    } else {
-      masks_[fd] = mask;
-    }
-  }
-
-  void Wait(int timeout_ms, std::vector<Event>* out) override {
-    fds_.clear();
-    for (const auto& [fd, mask] : masks_) {
-      short events = 0;
-      if (mask & kWatchRead) events |= POLLIN;
-      if (mask & kWatchWrite) events |= POLLOUT;
-      fds_.push_back({fd, events, 0});
-    }
-    out->clear();
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      out->push_back({p.fd, (p.revents & POLLIN) != 0,
-                      (p.revents & POLLOUT) != 0,
-                      (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0});
-    }
-  }
-
- private:
-  std::unordered_map<int, uint32_t> masks_;
-  std::vector<pollfd> fds_;
-};
-
-#if defined(__linux__)
-class EpollPoller : public Server::Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {}
-  ~EpollPoller() override {
+  Poller() : epfd_(::epoll_create1(0)) {}
+  ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-  void Watch(int fd, uint32_t mask) override {
+  /// Registers, re-arms, or (mask 0) removes `fd`. Level-triggered.
+  void Watch(int fd, uint32_t mask) {
     epoll_event ev{};
     ev.data.fd = fd;
     if (mask & kWatchRead) ev.events |= EPOLLIN;
@@ -161,7 +114,7 @@ class EpollPoller : public Server::Poller {
     }
   }
 
-  void Wait(int timeout_ms, std::vector<Event>* out) override {
+  void Wait(int timeout_ms, std::vector<Event>* out) {
     events_.resize(std::max<size_t>(registered_.size() + 1, 16));
     out->clear();
     const int n = ::epoll_wait(epfd_, events_.data(),
@@ -179,18 +132,6 @@ class EpollPoller : public Server::Poller {
   std::unordered_map<int, uint32_t> registered_;
   std::vector<epoll_event> events_;
 };
-#endif  // __linux__
-
-std::unique_ptr<Server::Poller> MakePoller(bool use_poll) {
-#if defined(__linux__)
-  if (!use_poll) return std::make_unique<EpollPoller>();
-#else
-  (void)use_poll;
-#endif
-  return std::make_unique<PollPoller>();
-}
-
-}  // namespace
 
 Server::Server(serve::ServingRouter& router, ServerConfig config)
     : router_(router), config_(Sanitized(std::move(config))) {}
@@ -230,7 +171,7 @@ bool Server::Start() {
   SetNonBlocking(wake_read_fd_);
   SetNonBlocking(wake_write_fd_);
 
-  poller_ = MakePoller(config_.use_poll);
+  poller_ = std::make_unique<Poller>();
   poller_->Watch(listen_fd_, kWatchRead);
   poller_->Watch(wake_read_fd_, kWatchRead);
 

@@ -86,9 +86,6 @@ struct ServerConfig {
   /// `StatsWithNet` callers — must be thread-safe. Must outlive the
   /// server.
   std::function<serve::OnlineStats()> online_stats;
-  /// Force the portable poll(2) backend instead of epoll(7) (Linux).
-  /// Functionally identical; epoll scales better past a few hundred fds.
-  bool use_poll = false;
   /// Decoder bounds applied to every inbound frame.
   CodecLimits limits;
   /// Deterministic fault injection (tests only; see net/fault.h). When
@@ -155,13 +152,11 @@ class Server {
   /// readout for a networked deployment.
   serve::RouterStats StatsWithNet() const;
 
-  /// Event-loop backend: epoll on Linux, poll(2) everywhere (and on
-  /// Linux when `use_poll` is set). Public only so the implementations
-  /// (anonymous namespace in server.cc) can subclass it.
-  class Poller;
-
  private:
   struct Connection;
+  /// The event loop's level-triggered epoll(7) set (Linux only, like the
+  /// codec's supported targets).
+  class Poller;
 
   struct Work {
     uint64_t conn_id = 0;

@@ -29,13 +29,6 @@ double ServingStats::LatencyBucketValue(int index) {
   return base + sub * (base / (1 << kBits));
 }
 
-bool ServingStats::HasLatencyHist() const {
-  for (int i = 0; i < kLatencyHistBins; ++i) {
-    if (latency_hist[i] != 0) return true;
-  }
-  return false;
-}
-
 void ServingStats::RecomputeLatencyPercentiles() {
   uint64_t total = 0;
   for (int i = 0; i < kLatencyHistBins; ++i) total += latency_hist[i];

@@ -9,7 +9,7 @@
 namespace rapid::serve {
 
 /// A point-in-time summary of a `ServingMetrics` instance, safe to copy
-/// around and render after the engine has been shut down.
+/// around and render after the router has been shut down.
 struct ServingStats {
   /// Size of the fixed realized-batch-size histogram: bin `i` counts
   /// model-bound batches of exactly `i + 1` requests; the last bin absorbs
@@ -53,9 +53,8 @@ struct ServingStats {
   int max_batch_size = 0;
   /// Realized batch-size distribution; see `kBatchHistBins`.
   std::array<uint64_t, kBatchHistBins> batch_size_hist{};
-  /// Raw latency bucket counts (see `kLatencyHistBins`). All zero for
-  /// stats that predate histogram transport (old wire peers); consumers
-  /// must fall back to the precomputed percentile points then.
+  /// Raw latency bucket counts (see `kLatencyHistBins`); the source of
+  /// truth for the percentile points above when stats are merged.
   std::array<uint64_t, kLatencyHistBins> latency_hist{};
 
   /// Process-wide scratch-arena telemetry (see nn/arena.h), captured at
@@ -63,8 +62,8 @@ struct ServingStats {
   /// steady-state invariant the counters make observable: once every
   /// worker's first batch has warmed its arena, `arena_heap_allocs` and
   /// `arena_chunk_mallocs` stop moving while `arena_allocs` keeps growing.
-  /// Process-local gauges — not merged over the wire (remote snapshots
-  /// report zeros).
+  /// Per-process values: they travel in the binary stats scrape, and a
+  /// fleet merge sums them (the high-water mark takes the max).
   uint64_t arena_heap_allocs = 0;
   /// Bump allocations served from thread arenas (inference temporaries).
   uint64_t arena_allocs = 0;
@@ -75,8 +74,6 @@ struct ServingStats {
   /// Peak bytes live inside any single arena scope, process lifetime.
   uint64_t arena_high_water_bytes = 0;
 
-  /// True when `latency_hist` carries at least one sample.
-  bool HasLatencyHist() const;
   /// Recomputes p50/p95/p99 from `latency_hist`. No-op when the
   /// histogram is empty (keeps whatever percentile points were set).
   void RecomputeLatencyPercentiles();

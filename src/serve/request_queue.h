@@ -18,8 +18,8 @@ namespace rapid::serve {
 /// non-empty lane, but the drain is starvation-free: after
 /// `bursts_per_yield` consecutive pops that bypassed a waiting
 /// lower-priority item, one item from the next non-empty lower lane is
-/// served before priority resumes. With the default single lane the queue
-/// degenerates to the plain FIFO used by `ServingEngine`.
+/// served before priority resumes. With a single lane the queue is a plain
+/// FIFO. `ServingRouter` is the one production user (two lanes).
 ///
 /// Producers choose between three admission styles:
 ///  - `Push`       blocks while the queue is full (backpressure);
@@ -129,14 +129,6 @@ class BoundedRequestQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return count_;
   }
-
-  /// Current depth of one lane.
-  size_t lane_size(size_t lane) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return lane < lanes_.size() ? lanes_[lane].size() : 0;
-  }
-
-  size_t num_lanes() const { return lanes_.size(); }
 
  private:
   void Enqueue(T&& item, size_t lane) {

@@ -165,13 +165,17 @@ void ResultCache::Insert(const std::string& slot, uint64_t version,
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   total_.inserts.fetch_add(1, std::memory_order_relaxed);
   counters.inserts.fetch_add(1, std::memory_order_relaxed);
-  while (shard.lru.size() > per_shard_capacity_) {
-    const Entry& victim = shard.lru.back();
+  EvictOverCapacityLocked(&shard);
+}
+
+void ResultCache::EvictOverCapacityLocked(Shard* shard) {
+  while (shard->lru.size() > per_shard_capacity_) {
+    const Entry& victim = shard->lru.back();
     total_.evictions.fetch_add(1, std::memory_order_relaxed);
     CountersFor(victim.key.slot)
         .evictions.fetch_add(1, std::memory_order_relaxed);
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
+    shard->index.erase(victim.key);
+    shard->lru.pop_back();
   }
 }
 
@@ -220,14 +224,7 @@ void ResultCache::InsertNegative(const std::string& slot, uint64_t fingerprint,
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   total_.negative_inserts.fetch_add(1, std::memory_order_relaxed);
   counters.negative_inserts.fetch_add(1, std::memory_order_relaxed);
-  while (shard.lru.size() > per_shard_capacity_) {
-    const Entry& victim = shard.lru.back();
-    total_.evictions.fetch_add(1, std::memory_order_relaxed);
-    CountersFor(victim.key.slot)
-        .evictions.fetch_add(1, std::memory_order_relaxed);
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-  }
+  EvictOverCapacityLocked(&shard);
 }
 
 void ResultCache::ScheduleSweep(std::string slot, uint64_t live_version) {
@@ -235,7 +232,7 @@ void ResultCache::ScheduleSweep(std::string slot, uint64_t live_version) {
   {
     std::lock_guard<std::mutex> lock(sweep_mu_);
     if (stop_) return;
-    pending_sweeps_.emplace_back(std::move(slot), live_version);
+    pending_sweeps_.push_back({std::move(slot), live_version, Clock::now()});
   }
   sweep_cv_.notify_one();
 }
@@ -254,24 +251,28 @@ void ResultCache::SweeperLoop() {
       if (stop_) return;
       continue;
     }
-    const auto [slot, live_version] = std::move(pending_sweeps_.front());
+    const PendingSweep sweep = std::move(pending_sweeps_.front());
     pending_sweeps_.pop_front();
     sweep_active_ = true;
     lock.unlock();
-    SweepSlot(slot, live_version);
+    SweepSlot(sweep);
     lock.lock();
     sweep_active_ = false;
     if (pending_sweeps_.empty()) sweep_idle_cv_.notify_all();
   }
 }
 
-void ResultCache::SweepSlot(const std::string& slot, uint64_t live_version) {
+void ResultCache::SweepSlot(const PendingSweep& sweep) {
   const Clock::time_point now = Clock::now();
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      const bool dead_version =
-          it->key.slot == slot && it->key.version != live_version;
+      // Only entries that predate the publish are its to reclaim: one
+      // inserted since may belong to a newer publish, or remember a
+      // rejection (version 0) this publish never saw.
+      const bool dead_version = it->key.slot == sweep.slot &&
+                                it->key.version != sweep.live_version &&
+                                it->inserted_at < sweep.scheduled_at;
       const bool aged_out = ExpiredAt(*it, now);
       if (!dead_version && !aged_out) {
         ++it;

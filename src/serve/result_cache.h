@@ -59,12 +59,12 @@ struct CachePolicy {
   /// request is answered from memory instead of re-running the bounds
   /// check or occupying a queue slot and a worker for the fallback
   /// heuristic. Entries are keyed under the reserved version 0 (registry
-  /// versions start at 1, so they can never shadow a real result) and are
-  /// swept like any dead version when the slot publishes — a slot that
-  /// comes into existence invalidates its own unknown-slot entries. The
-  /// TTL should be short: between an insert racing a publish and the
-  /// sweep, a stale negative entry can answer degraded for at most one
-  /// TTL. Requires `enabled`.
+  /// versions start at 1, so they can never shadow a real result) and the
+  /// entries remembered before a publish of the slot are swept like any
+  /// dead version — a slot that comes into existence invalidates its own
+  /// unknown-slot entries. The TTL should be short: between an insert
+  /// racing a publish and the sweep, a stale negative entry can answer
+  /// degraded for at most one TTL. Requires `enabled`.
   int64_t negative_ttl_us = 0;
 };
 
@@ -155,7 +155,11 @@ class ResultCache {
   /// Asks the background sweeper to reclaim entries of `slot` whose
   /// version differs from `live_version` (0 = all versions, for slot
   /// removal). Entries are already unreachable the moment the registry
-  /// republished; this only frees their memory. Returns immediately.
+  /// republished; this only frees their memory. On a publish
+  /// (`live_version` > 0) the slot's negative (version-0) entries die too.
+  /// Only entries inserted before this call are reclaimed, however late
+  /// the sweeper runs: a later entry may belong to a newer publish or
+  /// remember a rejection this publish never saw. Returns immediately.
   void ScheduleSweep(std::string slot, uint64_t live_version);
 
   /// Blocks until every scheduled sweep has completed (tests, shutdown
@@ -168,8 +172,6 @@ class ResultCache {
   CacheStats TotalStats() const { return total_.Snapshot(); }
   /// Counters attributed to one slot; zeroes if the slot never traded.
   CacheStats StatsFor(const std::string& slot) const;
-
-  const CachePolicy& policy() const { return policy_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -227,6 +229,9 @@ class ResultCache {
   }
   /// Find-or-create the counter block for `slot` (short leaf lock).
   Counters& CountersFor(const std::string& slot);
+  /// Drops entries from the cold end of `shard` until it is back within
+  /// capacity, counting each as an eviction. Caller holds `shard->mu`.
+  void EvictOverCapacityLocked(Shard* shard);
   bool ExpiredAt(const Entry& entry, Clock::time_point now) const {
     // Version 0 marks a negative entry, which lives on its own (short)
     // TTL; positive entries use the regular one.
@@ -236,10 +241,16 @@ class ResultCache {
            now - entry.inserted_at >= std::chrono::microseconds(ttl_us);
   }
 
+  struct PendingSweep {
+    std::string slot;
+    uint64_t live_version = 0;
+    Clock::time_point scheduled_at;
+  };
+
   void SweeperLoop();
-  /// Erases `slot` entries on dead versions (and any TTL-expired entry it
-  /// walks past) across all shards.
-  void SweepSlot(const std::string& slot, uint64_t live_version);
+  /// Erases the sweep's slot entries on dead versions (and any TTL-expired
+  /// entry it walks past) across all shards.
+  void SweepSlot(const PendingSweep& sweep);
 
   const CachePolicy policy_;
   const size_t per_shard_capacity_;
@@ -252,7 +263,7 @@ class ResultCache {
   std::mutex sweep_mu_;
   std::condition_variable sweep_cv_;
   std::condition_variable sweep_idle_cv_;
-  std::deque<std::pair<std::string, uint64_t>> pending_sweeps_;
+  std::deque<PendingSweep> pending_sweeps_;
   bool sweep_active_ = false;
   bool stop_ = false;
   std::thread sweeper_;

@@ -126,8 +126,8 @@ bool ServingRouter::CanaryPasses(const std::string& slot,
   }
   if (!have_probe) {
     // No explicit canary for the slot: fall back to the probe the snapshot
-    // auto-recorded at save time (format v3+). A probe referencing entities
-    // outside this serving dataset was recorded against a different world —
+    // auto-recorded at save time. A probe referencing entities outside
+    // this serving dataset was recorded against a different world —
     // scoring it would index out of range — so it is treated as absent.
     if (!Snapshot::ReadCanary(path, &probe)) return true;
     if (probe.list.user_id < 0 ||

@@ -19,7 +19,6 @@
 #include "rerank/neural_base.h"
 #include "rerank/reranker.h"
 #include "serve/admission.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/request_queue.h"
@@ -28,9 +27,13 @@
 
 namespace rapid::serve {
 
+/// Which cheap heuristic answers a request the model will not serve
+/// (deadline miss, shed, unknown slot): the untouched initial ranking, or
+/// a greedy MMR pass that at least diversifies.
+enum class FallbackPolicy { kInitialOrder, kMmr };
+
 struct RouterConfig {
-  /// Size of the worker pool *shared by every slot* — the structural
-  /// difference from one `ServingEngine` (and pool) per model.
+  /// Size of the worker pool, shared by every slot.
   int num_threads = 4;
   /// Requests a worker pulls per micro-batch (may mix slots and lanes).
   int max_batch = 8;
@@ -167,12 +170,11 @@ class ServingRouter {
   /// thread (workers keep serving the old version throughout the build),
   /// then atomically publishes it as the new current model of `slot`,
   /// creating the slot on first use. The candidate is scored against a
-  /// canary probe *before* publish — the one set via `SetCanary`, or (for
-  /// format v3+ snapshots) the probe `Snapshot::Save` auto-recorded in the
-  /// file — and a drifting (corrupt-but-parseable) snapshot is rejected.
-  /// Returns the
-  /// new version, or 0 if the snapshot failed to load or the canary
-  /// rejected it — either way the slot keeps serving its current version.
+  /// canary probe *before* publish — the one set via `SetCanary`, or the
+  /// probe `Snapshot::Save` auto-recorded in the file — and a drifting
+  /// (corrupt-but-parseable) snapshot is rejected. Returns the new
+  /// version, or 0 if the snapshot failed to load or the canary rejected
+  /// it — either way the slot keeps serving its current version.
   uint64_t LoadSlot(const std::string& slot, const std::string& path);
 
   /// Registers (or replaces) an explicit canary probe guarding `LoadSlot`
@@ -277,8 +279,8 @@ class ServingRouter {
   bool ListInBounds(const data::ImpressionList& list) const;
   /// True if `model` reproduces the recorded probe scores within
   /// tolerance. The probe is the explicit canary set for `slot` when one
-  /// exists, else the one auto-recorded inside the snapshot at `path`
-  /// (format v3+); with neither, the check passes vacuously.
+  /// exists, else the one auto-recorded inside the snapshot at `path`;
+  /// with neither (an unreadable trailer), the check passes vacuously.
   bool CanaryPasses(const std::string& slot, const std::string& path,
                     const rerank::NeuralReranker& model) const;
 

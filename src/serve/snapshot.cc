@@ -12,16 +12,16 @@ namespace rapid::serve {
 namespace {
 
 constexpr uint32_t kMagic = 0x52534E50;  // "RSNP"
-// v1: magic, version, Header (implicitly a RapidReranker).
-// v2: magic, version, family tag (int32), Header.
-// v3: v2 + canary trailer after the weight blob (see below).
+// Layout: magic, version, family tag (int32), Header, weight blob, canary
+// trailer (see below). Readers accept exactly this version and reject
+// every other one.
 constexpr uint32_t kVersion = 3;
 
 // Canary trailer: [payload][payload_len u32][kCanaryMagic u32] at EOF.
 // Payload: user_id i32, n u32, item ids i32[n], initial scores f32[n],
 // m u32, expected model scores f32[m], tolerance f32. Anchored at the file
-// *end* so readers recover it without parsing the weight blob, and pre-v3
-// readers (which stop at the end of the blob) never see it.
+// *end* so readers recover it without parsing the weight blob, and model
+// loads (which stop at the end of the blob) never see it.
 constexpr uint32_t kCanaryMagic = 0x43534E50;  // "RSNC"
 // A probe is a handful of items; anything bigger is a corrupt length.
 constexpr uint32_t kMaxCanaryPayload = 1u << 16;
@@ -106,23 +106,19 @@ bool KnownFamily(int32_t tag) {
          tag <= static_cast<int32_t>(SnapshotFamily::kDesa);
 }
 
-bool ReadHeader(std::istream& in, Header* h, SnapshotFamily* family,
-                uint32_t* format_version) {
+bool ReadHeader(std::istream& in, Header* h, SnapshotFamily* family) {
   uint32_t magic = 0, version = 0;
+  int32_t family_tag = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || magic != kMagic || version < 1 || version > kVersion) {
+  in.read(reinterpret_cast<char*>(&family_tag), sizeof(family_tag));
+  if (!in || magic != kMagic || version != kVersion ||
+      !KnownFamily(family_tag)) {
     return false;
-  }
-  int32_t family_tag = static_cast<int32_t>(SnapshotFamily::kRapid);
-  if (version >= 2) {
-    in.read(reinterpret_cast<char*>(&family_tag), sizeof(family_tag));
-    if (!in || !KnownFamily(family_tag)) return false;
   }
   in.read(reinterpret_cast<char*>(h), sizeof(*h));
   if (!in) return false;
   *family = static_cast<SnapshotFamily>(family_tag);
-  *format_version = version;
   return true;
 }
 
@@ -262,8 +258,7 @@ std::unique_ptr<core::RapidReranker> Snapshot::Load(const std::string& path,
   if (!in) return nullptr;
   Header h;
   SnapshotFamily family;
-  uint32_t version;
-  if (!ReadHeader(in, &h, &family, &version)) return nullptr;
+  if (!ReadHeader(in, &h, &family)) return nullptr;
   if (family != SnapshotFamily::kRapid || !FingerprintMatches(h, data)) {
     return nullptr;
   }
@@ -278,8 +273,7 @@ std::unique_ptr<rerank::NeuralReranker> Snapshot::LoadAny(
   if (!in) return nullptr;
   Header h;
   SnapshotFamily family;
-  uint32_t version;
-  if (!ReadHeader(in, &h, &family, &version)) return nullptr;
+  if (!ReadHeader(in, &h, &family)) return nullptr;
   if (!FingerprintMatches(h, data)) return nullptr;
   std::unique_ptr<rerank::NeuralReranker> model = MakeModel(family, h);
   if (model == nullptr || !model->LoadModel(data, in)) return nullptr;
@@ -297,7 +291,7 @@ bool Snapshot::ReadInfo(const std::string& path, SnapshotInfo* info) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   Header h;
-  if (!ReadHeader(in, &h, &info->family, &info->format_version)) return false;
+  if (!ReadHeader(in, &h, &info->family)) return false;
   info->config = ConfigFromHeader(h);
   return true;
 }
@@ -329,10 +323,10 @@ class TrailerReader {
 
 bool Snapshot::ReadCanary(const std::string& path, CanaryProbe* probe) {
   // Gate on the header first: the trailer is located from the file end, so
-  // without this check 4 bytes of weight data in a pre-v3 file could
-  // masquerade as a trailer magic.
+  // without this check the tail of an arbitrary file could masquerade as a
+  // trailer.
   SnapshotInfo info;
-  if (!ReadInfo(path, &info) || info.format_version < 3) return false;
+  if (!ReadInfo(path, &info)) return false;
 
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;

@@ -17,10 +17,10 @@ namespace rapid::serve {
 /// scores drift past `tolerance` on any item — including NaN — is
 /// corrupt-but-parseable and is rejected before the swap.
 ///
-/// Since format v3, `Snapshot::Save` auto-records a probe into the
-/// `.rsnp` trailer, so every `LoadSlot` validates every snapshot without
-/// the caller wiring `ServingRouter::SetCanary` by hand; `SetCanary`
-/// remains as an override for custom probe lists.
+/// `Snapshot::Save` auto-records a probe into the `.rsnp` trailer, so
+/// every `LoadSlot` validates every snapshot without the caller wiring
+/// `ServingRouter::SetCanary` by hand; `SetCanary` remains as an override
+/// for custom probe lists.
 struct CanaryProbe {
   data::ImpressionList list;
   std::vector<float> expected_scores;
@@ -31,9 +31,8 @@ struct CanaryProbe {
 };
 
 /// Which re-ranker family a snapshot rehydrates into. Stored as a tag in
-/// the snapshot header (format v2+) so a serving process can reconstruct
-/// the right class without being told; v1 files predate the tag and are
-/// implicitly `kRapid`.
+/// the snapshot header so a serving process can reconstruct the right
+/// class without being told.
 enum class SnapshotFamily : int32_t {
   kRapid = 0,
   kDlcm = 1,
@@ -50,8 +49,6 @@ const char* SnapshotFamilyName(SnapshotFamily family);
 /// and the model registry.
 struct SnapshotInfo {
   SnapshotFamily family = SnapshotFamily::kRapid;
-  /// On-disk format version of the file (1, 2, or 3).
-  uint32_t format_version = 0;
   /// Full configuration. For `kRapid` every field is meaningful; for the
   /// baseline families only `train` (the shared `NeuralRerankConfig`)
   /// applies — the RAPID-specific architecture enums are left at defaults.
@@ -66,18 +63,17 @@ struct SnapshotInfo {
 /// carries it — which is what an online serving process needs: train
 /// offline, ship one file, `Load` and serve.
 ///
-/// The format is versioned; loaders reject unknown versions, unknown
-/// family tags, mismatched dataset dimensions, and truncated weight blobs
-/// by returning null. v1 files (written before the family tag existed)
-/// still load, as `RapidReranker`; v2 files (no canary trailer) load but
-/// report no embedded probe.
+/// The format is versioned and readers accept exactly the version `Save`
+/// writes (v3): any other version, unknown family tags, mismatched
+/// dataset dimensions, and truncated weight blobs are rejected by
+/// returning null (or false).
 ///
-/// Format v3 appends a self-describing canary trailer after the weight
-/// blob: a deterministic probe list plus the model's scores on it at save
-/// time, closed by a fixed footer (`payload length`, trailer magic) at
-/// EOF. Readers locate it from the file end, so no weight-blob parsing is
-/// needed to recover the probe, and pre-v3 readers — which stop at the
-/// end of the weight blob — are untouched by the extra bytes.
+/// A self-describing canary trailer follows the weight blob: a
+/// deterministic probe list plus the model's scores on it at save time,
+/// closed by a fixed footer (`payload length`, trailer magic) at EOF.
+/// Readers locate it from the file end, so no weight-blob parsing is
+/// needed to recover the probe, and model loads — which stop at the end
+/// of the weight blob — are untouched by the extra bytes.
 struct Snapshot {
   /// Writes `model`'s configuration and weights to `path`. `data` supplies
   /// the dimension fingerprint validated at load time. The model must have
@@ -116,13 +112,13 @@ struct Snapshot {
   /// false if the file is not a valid snapshot.
   static bool ReadConfig(const std::string& path, core::RapidConfig* config);
 
-  /// Reads the header including the family tag and format version.
+  /// Reads the header including the family tag.
   static bool ReadInfo(const std::string& path, SnapshotInfo* info);
 
-  /// Recovers the canary probe auto-recorded by `Save` (format v3+).
-  /// Returns false — without touching `probe` — for pre-v3 files, a
-  /// missing/corrupt trailer, or an internally inconsistent payload; the
-  /// snapshot itself stays loadable either way.
+  /// Recovers the canary probe auto-recorded by `Save`. Returns false —
+  /// without touching `probe` — for a file that is not a snapshot, a
+  /// missing/corrupt trailer, or an internally inconsistent payload; a
+  /// snapshot with a bad trailer stays loadable.
   static bool ReadCanary(const std::string& path, CanaryProbe* probe);
 };
 

@@ -4,44 +4,21 @@
 
 namespace rapid::serve {
 
-namespace {
-
-/// Request-weighted average of one per-shard point. Used for `mean_us`
-/// (where it is exact) and as the percentile fallback for histogram-less
-/// peers (where it is an approximation; see the header note).
-double WeightedPercentile(double a, uint64_t wa, double b, uint64_t wb) {
-  const uint64_t total = wa + wb;
-  if (total == 0) return 0.0;
-  return (a * static_cast<double>(wa) + b * static_cast<double>(wb)) /
-         static_cast<double>(total);
-}
-
-}  // namespace
-
 void MergeInto(ServingStats* dst, const ServingStats& src) {
-  // Sum the raw histograms first; if the merged histogram has samples the
-  // fleet percentiles are recomputed exactly from it below. The weighted
-  // average only survives as a fallback for stats from peers that predate
-  // histogram transport (their latency_hist is all zero).
-  const double fallback_p50 = WeightedPercentile(dst->p50_us, dst->requests,
-                                                 src.p50_us, src.requests);
-  const double fallback_p95 = WeightedPercentile(dst->p95_us, dst->requests,
-                                                 src.p95_us, src.requests);
-  const double fallback_p99 = WeightedPercentile(dst->p99_us, dst->requests,
-                                                 src.p99_us, src.requests);
-  dst->mean_us = WeightedPercentile(dst->mean_us, dst->requests, src.mean_us,
-                                    src.requests);
+  // Percentiles are recomputed from the summed latency histograms, so they
+  // are exact fleet percentiles, not blends of per-shard points. The mean
+  // is request-weighted, which is exact as well.
+  const uint64_t requests = dst->requests + src.requests;
+  dst->mean_us = requests == 0
+                     ? 0.0
+                     : (dst->mean_us * static_cast<double>(dst->requests) +
+                        src.mean_us * static_cast<double>(src.requests)) /
+                           static_cast<double>(requests);
   for (int i = 0; i < ServingStats::kLatencyHistBins; ++i) {
     dst->latency_hist[i] += src.latency_hist[i];
   }
-  if (dst->HasLatencyHist()) {
-    dst->RecomputeLatencyPercentiles();
-  } else {
-    dst->p50_us = fallback_p50;
-    dst->p95_us = fallback_p95;
-    dst->p99_us = fallback_p99;
-  }
-  dst->requests += src.requests;
+  dst->RecomputeLatencyPercentiles();
+  dst->requests = requests;
   dst->fallbacks += src.fallbacks;
   dst->shed += src.shed;
   dst->max_us = std::max(dst->max_us, src.max_us);
@@ -52,6 +29,14 @@ void MergeInto(ServingStats* dst, const ServingStats& src) {
   for (int i = 0; i < ServingStats::kBatchHistBins; ++i) {
     dst->batch_size_hist[i] += src.batch_size_hist[i];
   }
+  // Arena counters are per process, so a fleet view sums them; the high
+  // water mark is a peak, so it takes the max.
+  dst->arena_heap_allocs += src.arena_heap_allocs;
+  dst->arena_allocs += src.arena_allocs;
+  dst->arena_chunk_mallocs += src.arena_chunk_mallocs;
+  dst->arena_reserved_bytes += src.arena_reserved_bytes;
+  dst->arena_high_water_bytes =
+      std::max(dst->arena_high_water_bytes, src.arena_high_water_bytes);
 }
 
 void MergeInto(CacheStats* dst, const CacheStats& src) {

@@ -10,14 +10,13 @@ namespace rapid::serve {
 ///
 /// Counters sum, gauges and maxima take the max, and latency percentiles
 /// are **exact**: snapshots carry their raw latency histograms
-/// (`ServingStats::latency_hist`), the merge sums them bucket-wise and
-/// recomputes p50/p95/p99 from the fleet histogram. Only when neither
-/// side has a histogram (an old peer that predates histogram transport)
-/// does the merge fall back to the request-weighted average of the
-/// percentile points — an approximation, documented rather than hidden.
-/// `mean_us` and `max_us` are exact in both modes.
+/// (`ServingStats::latency_hist`; the wire decoder refuses a stats payload
+/// without one), the merge sums them bucket-wise and recomputes
+/// p50/p95/p99 from the fleet histogram. `mean_us` (request-weighted) and
+/// `max_us` are exact too.
 
-/// Folds `src` into `dst` (sums, maxes, exact histogram percentiles).
+/// Folds `src` into `dst` (sums, maxes, exact histogram percentiles; the
+/// per-process arena counters sum, their high-water mark maxes).
 void MergeInto(ServingStats* dst, const ServingStats& src);
 
 /// Folds `src` into `dst` (pure counter sums).

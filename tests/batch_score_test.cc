@@ -2,7 +2,7 @@
 // every neural model family, `ScoreBatch` over randomized mixed-length
 // lists must reproduce `ScoreList` bitwise — before and after a snapshot
 // round trip — and `RerankBatch` must reproduce `Rerank`. Also covers the
-// serving engine's batched worker path (determinism + batch metrics) and
+// serving router's batched worker path (determinism + batch metrics) and
 // concurrent `ScoreBatch` on one shared model (run under
 // RAPID_SANITIZE=thread for the data-race proof).
 
@@ -20,7 +20,7 @@
 #include "datagen/simulator.h"
 #include "rerank/neural_models.h"
 #include "rerank/seq2slate.h"
-#include "serve/engine.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace rapid {
@@ -229,7 +229,7 @@ TEST_F(BatchScoreTest, EmptyAndSingletonBatches) {
 }
 
 TEST_F(BatchScoreTest, ConcurrentScoreBatchOnSharedModelIsSafe) {
-  // The serving engine shares one fitted model across workers that now
+  // The serving router shares one fitted model across workers that now
   // call ScoreBatch concurrently. Under RAPID_SANITIZE=thread this is the
   // data-race proof for the batched const-inference surface.
   core::RapidConfig cfg;
@@ -241,7 +241,9 @@ TEST_F(BatchScoreTest, ConcurrentScoreBatchOnSharedModelIsSafe) {
   const std::vector<std::vector<float>> expected =
       model.ScoreBatch(data_, MixedPtrs());
   std::vector<std::thread> threads;
-  std::vector<bool> ok(4, false);
+  // One byte per thread: std::vector<bool> packs the flags into one word,
+  // and writing them from four threads would be the test's own data race.
+  std::vector<char> ok(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       bool all_equal = true;
@@ -262,33 +264,34 @@ TEST_F(BatchScoreTest, EngineBatchedPathIsDeterministicAndCounted) {
   core::RapidConfig cfg;
   cfg.train = SmallConfig();
   cfg.hidden_dim = 8;
-  core::RapidReranker model(cfg);
-  model.Fit(data_, train_, 6);
+  const auto model = std::make_shared<core::RapidReranker>(cfg);
+  model->Fit(data_, train_, 6);
 
-  serve::ServingConfig serving;
+  serve::RouterConfig serving;
   serving.num_threads = 2;
   serving.max_batch = 4;
   serving.max_wait_us = 100;
   serving.deadline_us = 0;  // Deterministic: every request runs the model.
-  serve::ServingEngine engine(data_, model, serving);
+  serve::ServingRouter router(data_, serving);
+  router.InstallSlot("main", model);
 
-  std::vector<std::future<serve::RerankResponse>> futures;
+  std::vector<std::future<serve::RouterResponse>> futures;
   for (int rep = 0; rep < 5; ++rep) {
     for (const data::ImpressionList& list : mixed_) {
-      futures.push_back(engine.Submit(list));
+      futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
     }
   }
   size_t i = 0;
   for (auto& f : futures) {
-    const serve::RerankResponse response = f.get();
+    const serve::RouterResponse response = f.get();
     EXPECT_FALSE(response.degraded);
-    EXPECT_EQ(response.items, model.Rerank(data_, mixed_[i % mixed_.size()]))
+    EXPECT_EQ(response.items, model->Rerank(data_, mixed_[i % mixed_.size()]))
         << "batched serving diverged from the direct call";
     ++i;
   }
-  engine.Shutdown();
+  router.Shutdown();
 
-  const serve::ServingStats stats = engine.stats();
+  const serve::ServingStats stats = router.stats().total;
   EXPECT_EQ(stats.requests, futures.size());
   // Every model-bound request flowed through the batched path, so the
   // histogram and counters must reconcile exactly.

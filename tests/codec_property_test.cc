@@ -170,6 +170,11 @@ serve::RouterStats RandomRouterStats(std::mt19937_64& rng) {
   stats.total.max_us = rng() % 1'000'000;
   stats.total.batches = rng() % 1000;
   stats.total.batched_lists = rng() % 1000;
+  stats.total.arena_heap_allocs = rng() % 10'000;
+  stats.total.arena_allocs = rng() % 10'000'000;
+  stats.total.arena_chunk_mallocs = rng() % 100;
+  stats.total.arena_reserved_bytes = rng() % (64u << 20);
+  stats.total.arena_high_water_bytes = rng() % (1u << 20);
   for (int i = 0; i < 6; ++i) {
     stats.total.batch_size_hist[rng() % stats.total.batch_size_hist.size()] =
         rng() % 50;

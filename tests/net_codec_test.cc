@@ -368,6 +368,11 @@ TEST(NetCodecTest, BinaryStatsResponseRoundTripsEveryField) {
   stats.total.batch_size_hist[3] = 12;
   stats.total.latency_hist[0] = 40;
   stats.total.latency_hist[200] = 2;
+  stats.total.arena_heap_allocs = 31;
+  stats.total.arena_allocs = 2048;
+  stats.total.arena_chunk_mallocs = 3;
+  stats.total.arena_reserved_bytes = 3u << 20;
+  stats.total.arena_high_water_bytes = 70'000;
   stats.cache.hits = 7;
   stats.cache.negative_hits = 3;
   stats.cache.negative_inserts = 4;
@@ -425,6 +430,11 @@ TEST(NetCodecTest, BinaryStatsResponseRoundTripsEveryField) {
   EXPECT_EQ(decoded.stats.total.batch_size_hist[3], 12u);
   EXPECT_EQ(decoded.stats.total.latency_hist[0], 40u);
   EXPECT_EQ(decoded.stats.total.latency_hist[200], 2u);
+  EXPECT_EQ(decoded.stats.total.arena_heap_allocs, 31u);
+  EXPECT_EQ(decoded.stats.total.arena_allocs, 2048u);
+  EXPECT_EQ(decoded.stats.total.arena_chunk_mallocs, 3u);
+  EXPECT_EQ(decoded.stats.total.arena_reserved_bytes, 3u << 20);
+  EXPECT_EQ(decoded.stats.total.arena_high_water_bytes, 70'000u);
   EXPECT_EQ(decoded.stats.cache.negative_hits, 3u);
   EXPECT_EQ(decoded.stats.cache.negative_inserts, 4u);
   EXPECT_EQ(decoded.stats.unknown_slot, 2u);

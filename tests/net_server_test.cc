@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -503,23 +504,6 @@ TEST(NetServerTest, IdleConnectionsAreReaped) {
   EXPECT_FALSE(client.Receive(&reply, 1000));  // Server hung up.
 }
 
-TEST(NetServerTest, PollBackendServesIdentically) {
-  const data::Dataset data;
-  serve::ServingRouter router(data, {});
-  router.InstallSlot("main", std::make_shared<RotateReranker>(4));
-  net::ServerConfig cfg;
-  cfg.use_poll = true;  // Exercise the portable poll(2) event loop.
-  net::Server server(router, cfg);
-  ASSERT_TRUE(server.Start());
-
-  net::Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-  net::Client::Reply reply;
-  ASSERT_TRUE(client.Call(MakeRequest("main", TenItemList()), &reply, 2000));
-  ASSERT_FALSE(reply.is_error);
-  EXPECT_EQ(reply.response.items, Rotated(TenItemList().items, 4));
-}
-
 TEST(NetServerTest, SynchronousWaitIsBoundedByOneDeadlineNotPerFrame) {
   // A stream of unrelated pipelined replies must not restart Call's clock:
   // the fake server below answers a request id the client never issued,
@@ -705,6 +689,43 @@ TEST_F(NetSwapTest, OutOfRangeIdsAreRejectedBeforeReachingTheModel) {
   ASSERT_FALSE(reply.is_error);
   EXPECT_FALSE(reply.response.degraded);
   EXPECT_EQ(reply.response.model_version, 1u);
+}
+
+// The binary scrape (what the shard layer merges) carries the arena
+// counters the JSON rendering shows: with no traffic between the two
+// scrapes, the inference-only arena count matches exactly, and the
+// process-wide heap count only grows by the scrapes' own allocations.
+TEST_F(NetSwapTest, BinaryStatsScrapeCarriesArenaCounters) {
+  const std::string path = TrainAndSnapshot(8, 5, "net_arena.rsnp");
+  serve::ServingRouter router(data_, {});
+  ASSERT_EQ(router.LoadSlot("main", path), 1u);
+  net::Server server(router);
+  ASSERT_TRUE(server.Start());
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  for (int i = 0; i < 4; ++i) {
+    net::Client::Reply reply;
+    ASSERT_TRUE(client.Call(MakeRequest("main", train_[i]), &reply, 2000));
+    ASSERT_FALSE(reply.is_error);
+  }
+
+  serve::RouterStats binary;
+  ASSERT_TRUE(client.GetStats(&binary, 2000));
+  std::string json;
+  ASSERT_TRUE(client.GetStatsJson(&json, 2000));
+  // The "total" block renders first, so the first match is the total.
+  const auto json_counter = [&json](const std::string& key) -> uint64_t {
+    const size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(json.c_str() + at + key.size() + 4, nullptr,
+                               10);
+  };
+  EXPECT_EQ(binary.total.arena_allocs, json_counter("arena_allocs"));
+  EXPECT_GT(binary.total.arena_heap_allocs, 0u);
+  EXPECT_LE(binary.total.arena_heap_allocs, json_counter("arena_heap_allocs"));
 }
 
 TEST_F(NetSwapTest, RemoteLoadPublishesWhenEnabled) {

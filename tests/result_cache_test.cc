@@ -344,7 +344,11 @@ class RouterCacheModelTest : public ::testing::Test {
     model_cfg.hidden_dim = 8;
     model_ = std::make_unique<core::RapidReranker>(model_cfg);
     model_->Fit(data_, train_, /*seed=*/11);
-    path_ = ::testing::TempDir() + "/result_cache_model.rsnp";
+    // One file per test: ctest runs these tests as parallel processes,
+    // and a shared path lets one process truncate the file another loads.
+    path_ = ::testing::TempDir() + "/result_cache_model_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".rsnp";
     ASSERT_TRUE(serve::Snapshot::Save(path_, *model_, data_));
   }
 
@@ -446,6 +450,34 @@ TEST(ResultCacheTest, NegativeEntriesHaveOwnTtlAndCounters) {
 TEST(ResultCacheTest, NegativeCachingDisabledWithoutTtl) {
   serve::ResultCache cache(UnitPolicy(8));  // negative_ttl_us defaults to 0.
   EXPECT_FALSE(cache.NegativeEnabled());
+}
+
+TEST(ResultCacheTest, LateSweepKeepsEntriesInsertedAfterPublish) {
+  // The sweep a publish schedules may run long after the publish returns.
+  // It reclaims the slot's entries from before the publish — older
+  // versions and remembered rejections (version 0) alike — but never one
+  // inserted after it, however late it runs.
+  serve::CachePolicy policy = UnitPolicy(8192);
+  policy.negative_ttl_us = 60'000'000;  // Never expires here.
+  serve::ResultCache cache(policy);
+  // Keep the sweeper busy: a backlog of sweeps over a few thousand entries
+  // of another slot sits ahead of the publish's sweep.
+  for (uint64_t fp = 1; fp <= 4000; ++fp) cache.Insert("busy", 1, fp, Result(1));
+  cache.Insert("main", 1, /*fingerprint=*/1, Result(1));
+  cache.InsertNegative("main", /*fingerprint=*/2, {7});
+  for (int i = 0; i < 200; ++i) cache.ScheduleSweep("busy", 1);
+  cache.ScheduleSweep("main", /*live_version=*/2);  // The publish of v2.
+  cache.InsertNegative("main", /*fingerprint=*/3, {8});
+  cache.Insert("main", 3, /*fingerprint=*/4, Result(3));  // A later publish.
+  cache.DrainSweeps();
+
+  EXPECT_FALSE(cache.Lookup("main", 1, 1).has_value());
+  EXPECT_FALSE(cache.LookupNegative("main", 2).has_value());
+  const auto kept = cache.LookupNegative("main", 3);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(*kept, (std::vector<int>{8}));
+  EXPECT_TRUE(cache.Lookup("main", 3, 4).has_value());
+  EXPECT_EQ(cache.StatsFor("main").swept, 2u);
 }
 
 TEST(RouterCacheTest, NegativeCacheRemembersUnknownSlotUntilPublish) {

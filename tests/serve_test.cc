@@ -14,9 +14,9 @@
 #include "core/rapid.h"
 #include "datagen/simulator.h"
 #include "rerank/neural_models.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/request_queue.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace rapid {
@@ -123,47 +123,53 @@ TEST_F(ServeTest, SnapshotRejectsMismatchedDatasetAndGarbage) {
   EXPECT_FALSE(serve::Snapshot::ReadConfig(garbage, &ignored));
 }
 
+// The serving core is a `ServingRouter`; a single-model deployment is a
+// router with one slot.
 TEST_F(ServeTest, EngineMatchesDirectRerankAcrossThreadCounts) {
-  const core::RapidReranker model = FittedModel();
+  const auto model = std::make_shared<const core::RapidReranker>(FittedModel());
   std::vector<std::vector<int>> reference;
   reference.reserve(train_.size());
   for (const auto& list : train_) {
-    reference.push_back(model.Rerank(data_, list));
+    reference.push_back(model->Rerank(data_, list));
   }
 
   for (int threads : {1, 4}) {
-    serve::ServingConfig cfg;
+    serve::RouterConfig cfg;
     cfg.num_threads = threads;
     cfg.max_batch = 3;
     cfg.max_wait_us = 50;
-    serve::ServingEngine engine(data_, model, cfg);
-    std::vector<std::future<serve::RerankResponse>> futures;
-    for (const auto& list : train_) futures.push_back(engine.Submit(list));
+    serve::ServingRouter router(data_, cfg);
+    router.InstallSlot("main", model);
+    std::vector<std::future<serve::RouterResponse>> futures;
+    for (const auto& list : train_) {
+      futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
+    }
     for (size_t i = 0; i < futures.size(); ++i) {
-      serve::RerankResponse response = futures[i].get();
+      serve::RouterResponse response = futures[i].get();
       EXPECT_FALSE(response.degraded);
       EXPECT_EQ(response.items, reference[i]);
       EXPECT_GE(response.latency_us, 0);
     }
-    const serve::ServingStats stats = engine.stats();
+    const serve::ServingStats stats = router.stats().total;
     EXPECT_EQ(stats.requests, train_.size());
     EXPECT_EQ(stats.fallbacks, 0u);
   }
 }
 
 TEST_F(ServeTest, ConcurrentSubmittersGetConsistentResults) {
-  const core::RapidReranker model = FittedModel();
+  const auto model = std::make_shared<const core::RapidReranker>(FittedModel());
   std::vector<std::vector<int>> reference;
   for (const auto& list : train_) {
-    reference.push_back(model.Rerank(data_, list));
+    reference.push_back(model->Rerank(data_, list));
   }
 
-  serve::ServingConfig cfg;
+  serve::RouterConfig cfg;
   cfg.num_threads = 4;
   cfg.max_batch = 4;
   cfg.max_wait_us = 100;
   cfg.queue_capacity = 8;  // Small: exercises producer backpressure.
-  serve::ServingEngine engine(data_, model, cfg);
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", model);
 
   constexpr int kSubmitters = 4;
   constexpr int kRoundsPerSubmitter = 5;
@@ -173,16 +179,16 @@ TEST_F(ServeTest, ConcurrentSubmittersGetConsistentResults) {
     submitters.emplace_back([&, s] {
       for (int round = 0; round < kRoundsPerSubmitter; ++round) {
         const size_t idx = (s + round * kSubmitters) % train_.size();
-        auto future = engine.Submit(train_[idx]);
+        auto future = router.Submit({"main", serve::Lane::kHigh, train_[idx]});
         if (future.get().items != reference[idx]) ++mismatches;
       }
     });
   }
   for (auto& t : submitters) t.join();
-  engine.Shutdown();
+  router.Shutdown();
 
   EXPECT_EQ(mismatches.load(), 0);
-  const serve::ServingStats stats = engine.stats();
+  const serve::ServingStats stats = router.stats().total;
   EXPECT_EQ(stats.requests,
             static_cast<uint64_t>(kSubmitters * kRoundsPerSubmitter));
   EXPECT_GE(stats.max_queue_depth, 1);
@@ -191,20 +197,23 @@ TEST_F(ServeTest, ConcurrentSubmittersGetConsistentResults) {
 }
 
 TEST_F(ServeTest, ExpiredDeadlineFallsBackToHeuristic) {
-  const core::RapidReranker model = FittedModel();
-  serve::ServingConfig cfg;
+  serve::RouterConfig cfg;
   cfg.num_threads = 1;
   cfg.max_batch = 1;
   cfg.max_wait_us = 0;
   cfg.deadline_us = 1;  // Unmeetable: queue wait alone exceeds it.
   cfg.fallback = serve::FallbackPolicy::kInitialOrder;
-  serve::ServingEngine engine(data_, model, cfg);
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main",
+                     std::make_shared<const core::RapidReranker>(FittedModel()));
 
-  std::vector<std::future<serve::RerankResponse>> futures;
-  for (const auto& list : train_) futures.push_back(engine.Submit(list));
+  std::vector<std::future<serve::RouterResponse>> futures;
+  for (const auto& list : train_) {
+    futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
+  }
   uint64_t degraded = 0;
   for (size_t i = 0; i < futures.size(); ++i) {
-    serve::RerankResponse response = futures[i].get();
+    serve::RouterResponse response = futures[i].get();
     if (response.degraded) {
       ++degraded;
       // kInitialOrder serves the initial ranking unchanged.
@@ -212,95 +221,7 @@ TEST_F(ServeTest, ExpiredDeadlineFallsBackToHeuristic) {
     }
   }
   EXPECT_GT(degraded, 0u);
-  EXPECT_EQ(engine.stats().fallbacks, degraded);
-}
-
-TEST_F(ServeTest, SubmitAfterShutdownServesInline) {
-  const core::RapidReranker model = FittedModel();
-  serve::ServingEngine engine(data_, model, {});
-  engine.Shutdown();
-  auto future = engine.Submit(train_[0]);
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(future.get().items, model.Rerank(data_, train_[0]));
-}
-
-// A re-ranker with a fixed per-request cost, used to hold the engine's
-// queue full long enough to exercise TrySubmit / bounded-blocking paths.
-class StallInitReranker : public rerank::Reranker {
- public:
-  explicit StallInitReranker(int stall_us) : stall_us_(stall_us) {}
-  std::string name() const override { return "StallInit"; }
-  std::vector<int> Rerank(const data::Dataset& /*data*/,
-                          const data::ImpressionList& list) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
-    return list.items;
-  }
-
- private:
-  const int stall_us_;
-};
-
-TEST_F(ServeTest, TrySubmitRejectsWhenFullWithoutBlocking) {
-  const StallInitReranker slow(20'000);
-  serve::ServingConfig cfg;
-  cfg.num_threads = 1;
-  cfg.max_batch = 1;
-  cfg.max_wait_us = 0;
-  cfg.queue_capacity = 1;
-  serve::ServingEngine engine(data_, slow, cfg);
-
-  // Saturate: one request occupies the worker, then fill the queue slot.
-  std::vector<std::future<serve::RerankResponse>> accepted;
-  accepted.push_back(engine.Submit(train_[0]));
-  bool saw_rejection = false;
-  for (int i = 0; i < 64 && !saw_rejection; ++i) {
-    auto maybe = engine.TrySubmit(train_[0]);
-    if (maybe.has_value()) {
-      accepted.push_back(std::move(*maybe));
-    } else {
-      saw_rejection = true;  // Full queue reported immediately, no block.
-    }
-  }
-  EXPECT_TRUE(saw_rejection);
-  for (auto& f : accepted) EXPECT_EQ(f.get().items, train_[0].items);
-  engine.Shutdown();
-
-  // After shutdown TrySubmit serves inline like Submit.
-  auto inline_future = engine.TrySubmit(train_[1]);
-  ASSERT_TRUE(inline_future.has_value());
-  ASSERT_EQ(inline_future->wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(inline_future->get().items, train_[1].items);
-}
-
-TEST_F(ServeTest, SubmitBlocksAtMostTheRequestDeadline) {
-  const StallInitReranker slow(30'000);
-  serve::ServingConfig cfg;
-  cfg.num_threads = 1;
-  cfg.max_batch = 1;
-  cfg.max_wait_us = 0;
-  cfg.queue_capacity = 1;
-  cfg.deadline_us = 10'000;
-  cfg.fallback = serve::FallbackPolicy::kInitialOrder;
-  serve::ServingEngine engine(data_, slow, cfg);
-
-  std::vector<std::future<serve::RerankResponse>> futures;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 5; ++i) futures.push_back(engine.Submit(train_[0]));
-  const double submit_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  uint64_t degraded = 0;
-  for (auto& f : futures) degraded += f.get().degraded ? 1 : 0;
-  engine.Shutdown();
-
-  // Pre-fix, each blocked Submit waited a full 30ms model pass (~90ms for
-  // the burst); now every Submit returns within its own 10ms deadline.
-  EXPECT_LT(submit_ms, 100.0);
-  EXPECT_GT(degraded, 0u);
-  EXPECT_EQ(engine.stats().fallbacks, degraded);
+  EXPECT_EQ(router.stats().total.fallbacks, degraded);
 }
 
 TEST(RequestQueueTest, PopBatchCollectsUpToMaxAndDrainsOnClose) {
@@ -376,8 +297,7 @@ TEST(RequestQueueTest, PriorityDrainIsStarvationFree) {
                                         /*bursts_per_yield=*/2);
   for (int i = 1; i <= 6; ++i) ASSERT_TRUE(queue.Push(100 + i, /*lane=*/0));
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(queue.Push(200 + i, /*lane=*/1));
-  EXPECT_EQ(queue.lane_size(0), 6u);
-  EXPECT_EQ(queue.lane_size(1), 3u);
+  EXPECT_EQ(queue.size(), 9u);
 
   std::vector<int> order;
   while (queue.size() > 0) {
@@ -437,9 +357,9 @@ TEST_F(ServeTest, ReadConfigRejectsTruncatedAndCorruptFiles) {
   EXPECT_EQ(serve::Snapshot::LoadAny(cut, data_), nullptr);
 }
 
-TEST_F(ServeTest, V1SnapshotsStillLoadAsRapid) {
+TEST_F(ServeTest, RetiredV1AndV2SnapshotsAreRejected) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid_v2.rsnp";
+  const std::string path = ::testing::TempDir() + "/rapid_v3.rsnp";
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
   std::string bytes;
   {
@@ -448,27 +368,37 @@ TEST_F(ServeTest, V1SnapshotsStillLoadAsRapid) {
     buf << in.rdbuf();
     bytes = buf.str();
   }
-  // Rewrite as the v1 layout: magic, version=1, header — no family tag
-  // (v2 inserts the 4-byte tag right after the version word).
+  // v1 layout: magic, version=1, header — no family tag. v2 layout: the
+  // v3 bytes under version 2 (v3 only appended the canary trailer).
   const std::string v1_path = ::testing::TempDir() + "/rapid_v1.rsnp";
   {
     std::ofstream out(v1_path, std::ios::binary);
     const uint32_t version = 1;
     out.write(bytes.data(), 4);  // magic
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(bytes.data() + 12, bytes.size() - 12);  // skip v2 tag
+    out.write(bytes.data() + 12, bytes.size() - 12);  // skip family tag
+  }
+  const std::string v2_path = ::testing::TempDir() + "/rapid_v2.rsnp";
+  {
+    std::string v2 = bytes;
+    const uint32_t version = 2;
+    std::memcpy(v2.data() + 4, &version, sizeof(version));
+    std::ofstream(v2_path, std::ios::binary)
+        .write(v2.data(), static_cast<std::streamsize>(v2.size()));
   }
 
-  serve::SnapshotInfo info;
-  ASSERT_TRUE(serve::Snapshot::ReadInfo(v1_path, &info));
-  EXPECT_EQ(info.format_version, 1u);
-  EXPECT_EQ(info.family, serve::SnapshotFamily::kRapid);
-
-  const auto restored = serve::Snapshot::Load(v1_path, data_);
-  ASSERT_NE(restored, nullptr);
-  const std::vector<float> a = trained.ScoreList(data_, train_[0]);
-  const std::vector<float> b = restored->ScoreList(data_, train_[0]);
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+  for (const std::string& retired : {v1_path, v2_path}) {
+    EXPECT_EQ(serve::Snapshot::Load(retired, data_), nullptr) << retired;
+    EXPECT_EQ(serve::Snapshot::LoadAny(retired, data_), nullptr) << retired;
+    serve::SnapshotInfo info;
+    EXPECT_FALSE(serve::Snapshot::ReadInfo(retired, &info)) << retired;
+    core::RapidConfig config;
+    EXPECT_FALSE(serve::Snapshot::ReadConfig(retired, &config)) << retired;
+    serve::CanaryProbe probe;
+    EXPECT_FALSE(serve::Snapshot::ReadCanary(retired, &probe)) << retired;
+  }
+  // The untouched v3 file still loads.
+  EXPECT_NE(serve::Snapshot::Load(path, data_), nullptr);
 }
 
 TEST_F(ServeTest, SaveAutoRecordsCanaryProbeReadableFromTrailer) {
@@ -487,8 +417,8 @@ TEST_F(ServeTest, SaveAutoRecordsCanaryProbeReadableFromTrailer) {
   EXPECT_EQ(0, std::memcmp(replay.data(), probe.expected_scores.data(),
                            replay.size() * sizeof(float)));
 
-  // A v1-style rewrite has no trailer to find: ReadCanary refuses before
-  // ever touching the file end.
+  // A corrupted trailer footer makes the probe unreadable, not the
+  // snapshot unloadable.
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -496,20 +426,7 @@ TEST_F(ServeTest, SaveAutoRecordsCanaryProbeReadableFromTrailer) {
     buf << in.rdbuf();
     bytes = buf.str();
   }
-  const std::string v1_path = ::testing::TempDir() + "/rapid_canary_v1.rsnp";
-  {
-    std::ofstream out(v1_path, std::ios::binary);
-    const uint32_t version = 1;
-    out.write(bytes.data(), 4);  // magic
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(bytes.data() + 12, bytes.size() - 12);  // skip family tag
-  }
   serve::CanaryProbe ignored;
-  EXPECT_FALSE(serve::Snapshot::ReadCanary(v1_path, &ignored));
-  EXPECT_NE(serve::Snapshot::Load(v1_path, data_), nullptr);
-
-  // A corrupted trailer footer makes the probe unreadable, not the
-  // snapshot unloadable.
   std::string torn = bytes;
   torn.back() = static_cast<char>(torn.back() ^ 0xFF);
   const std::string torn_path = ::testing::TempDir() + "/rapid_canary_t.rsnp";
@@ -533,7 +450,6 @@ TEST_F(ServeTest, FamilyTaggedSnapshotRoundTripsBaselines) {
   serve::SnapshotInfo info;
   ASSERT_TRUE(serve::Snapshot::ReadInfo(path, &info));
   EXPECT_EQ(info.family, serve::SnapshotFamily::kPrm);
-  EXPECT_EQ(info.format_version, 3u);
   EXPECT_EQ(info.config.train.hidden_dim, 8);
   EXPECT_STREQ(serve::SnapshotFamilyName(info.family), "PRM");
 

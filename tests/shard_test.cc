@@ -532,15 +532,33 @@ TEST_F(ShardRolloutTest, NoPreviousCommitMeansRollbackFailedIsReported) {
 // Stats merge unit coverage (pure, no sockets).
 
 TEST(StatsMergeTest, CountersSumMaximaMaxPercentilesWeight) {
+  // Inputs shaped like real snapshots: every request sits in the latency
+  // histogram, and the points are what that histogram yields.
+  const int a_bin = serve::ServingStats::LatencyBucketIndex(1000);
+  const int b_bin = serve::ServingStats::LatencyBucketIndex(2000);
   serve::RouterStats a, b;
   a.total.requests = 100;
-  a.total.p99_us = 1000.0;
+  a.total.latency_hist[a_bin] = 100;
+  a.total.RecomputeLatencyPercentiles();
+  a.total.mean_us = 1000.0;
   a.total.max_us = 5000;
   a.total.shed = 3;
+  a.total.arena_allocs = 40;
+  a.total.arena_heap_allocs = 2;
+  a.total.arena_chunk_mallocs = 1;
+  a.total.arena_reserved_bytes = 1 << 20;
+  a.total.arena_high_water_bytes = 900;
   b.total.requests = 300;
-  b.total.p99_us = 2000.0;
+  b.total.latency_hist[b_bin] = 300;
+  b.total.RecomputeLatencyPercentiles();
+  b.total.mean_us = 2000.0;
   b.total.max_us = 4000;
   b.total.shed = 7;
+  b.total.arena_allocs = 60;
+  b.total.arena_heap_allocs = 3;
+  b.total.arena_chunk_mallocs = 2;
+  b.total.arena_reserved_bytes = 2 << 20;
+  b.total.arena_high_water_bytes = 700;
   a.unknown_slot = 2;
   b.unknown_slot = 5;
   a.quota_shed = 1;
@@ -571,10 +589,24 @@ TEST(StatsMergeTest, CountersSumMaximaMaxPercentilesWeight) {
   serve::MergeInto(&merged, b);
 
   EXPECT_EQ(merged.total.requests, 400u);
-  // Request-weighted: (100*1000 + 300*2000) / 400 = 1750.
-  EXPECT_NEAR(merged.total.p99_us, 1750.0, 1e-9);
+  // The mean is request-weighted: (100*1000 + 300*2000) / 400 = 1750.
+  EXPECT_NEAR(merged.total.mean_us, 1750.0, 1e-9);
+  // Percentiles come from the summed histogram: rank 199 of 400 and above
+  // all sit in b's bucket.
+  EXPECT_EQ(merged.total.latency_hist[a_bin], 100u);
+  EXPECT_EQ(merged.total.latency_hist[b_bin], 300u);
+  EXPECT_DOUBLE_EQ(merged.total.p50_us,
+                   serve::ServingStats::LatencyBucketValue(b_bin));
+  EXPECT_DOUBLE_EQ(merged.total.p99_us,
+                   serve::ServingStats::LatencyBucketValue(b_bin));
   EXPECT_EQ(merged.total.max_us, 5000u);
   EXPECT_EQ(merged.total.shed, 10u);
+  // Arena counters are per process: they sum, the high-water mark maxes.
+  EXPECT_EQ(merged.total.arena_allocs, 100u);
+  EXPECT_EQ(merged.total.arena_heap_allocs, 5u);
+  EXPECT_EQ(merged.total.arena_chunk_mallocs, 3u);
+  EXPECT_EQ(merged.total.arena_reserved_bytes, 3u << 20);
+  EXPECT_EQ(merged.total.arena_high_water_bytes, 900u);
   EXPECT_EQ(merged.unknown_slot, 7u);
   EXPECT_EQ(merged.quota_shed, 5u);
   EXPECT_EQ(merged.cache.hits, 30u);
@@ -664,9 +696,9 @@ TEST(StatsMergeTest, OnlineCountersSumVersionsMaxAndPresencePropagates) {
 
 TEST(StatsMergeTest, EmptyFleetMergeStaysZeroWithoutNaN) {
   // A coordinator scraping zero shards (or shards that served nothing)
-  // must render a well-formed all-zero view: the weighted-percentile
-  // fallback divides by total requests, and an empty merge must not turn
-  // that into NaN or garbage.
+  // must render a well-formed all-zero view: the weighted mean divides by
+  // total requests, and an empty merge must not turn that into NaN or
+  // garbage.
   serve::RouterStats merged;
   serve::MergeInto(&merged, serve::RouterStats{});
   serve::MergeInto(&merged, serve::RouterStats{});
@@ -677,84 +709,13 @@ TEST(StatsMergeTest, EmptyFleetMergeStaysZeroWithoutNaN) {
   EXPECT_EQ(merged.total.p99_us, 0.0);
   EXPECT_EQ(merged.total.mean_us, 0.0);
   EXPECT_EQ(merged.total.max_us, 0u);
-  EXPECT_FALSE(merged.total.HasLatencyHist());
+  for (const uint64_t bin : merged.total.latency_hist) EXPECT_EQ(bin, 0u);
   EXPECT_TRUE(merged.slots.empty());
   EXPECT_FALSE(merged.has_net);
   EXPECT_FALSE(merged.has_online);
   // The empty view still renders through both formatters.
   EXPECT_FALSE(merged.ToTable().empty());
   EXPECT_NE(merged.ToJson().find("\"total\""), std::string::npos);
-}
-
-TEST(StatsMergeTest, AllHistogramLessPeersUseExactWeightedFallback) {
-  // Peers that predate histogram transport report percentile points with
-  // all-zero histograms; the merge must fall back to the request-weighted
-  // average — and that fallback math must be exact, for every percentile
-  // and for the mean.
-  serve::ServingStats a, b;
-  a.requests = 100;
-  a.p50_us = 100.0;
-  a.p95_us = 200.0;
-  a.p99_us = 300.0;
-  a.mean_us = 120.0;
-  b.requests = 300;
-  b.p50_us = 200.0;
-  b.p95_us = 400.0;
-  b.p99_us = 700.0;
-  b.mean_us = 240.0;
-
-  serve::ServingStats merged;
-  serve::MergeInto(&merged, a);
-  serve::MergeInto(&merged, b);
-
-  EXPECT_EQ(merged.requests, 400u);
-  EXPECT_FALSE(merged.HasLatencyHist());
-  EXPECT_NEAR(merged.p50_us, (100.0 * 100 + 200.0 * 300) / 400, 1e-9);
-  EXPECT_NEAR(merged.p95_us, (200.0 * 100 + 400.0 * 300) / 400, 1e-9);
-  EXPECT_NEAR(merged.p99_us, (300.0 * 100 + 700.0 * 300) / 400, 1e-9);
-  EXPECT_NEAR(merged.mean_us, (120.0 * 100 + 240.0 * 300) / 400, 1e-9);
-
-  // Merging a zero-request peer into the fallback view changes nothing.
-  serve::MergeInto(&merged, serve::ServingStats{});
-  EXPECT_NEAR(merged.p99_us, (300.0 * 100 + 700.0 * 300) / 400, 1e-9);
-}
-
-TEST(StatsMergeTest, MixedHistogramAndHistogramLessPeersPinTheRecompute) {
-  // One modern peer (with a histogram) plus one legacy peer (points
-  // only): the documented behavior is that any histogram sample wins —
-  // percentiles recompute from the merged histogram and the legacy
-  // percentile points are ignored, while request counts and mean still
-  // include the legacy side. Pinned so a refactor that silently blends
-  // the two regimes fails loudly.
-  const int bin = serve::ServingStats::LatencyBucketIndex(800);
-  serve::ServingStats modern, legacy;
-  modern.requests = 50;
-  modern.latency_hist[bin] = 50;
-  modern.mean_us = 800.0;
-  legacy.requests = 150;
-  legacy.p50_us = legacy.p95_us = legacy.p99_us = 9999.0;
-  legacy.mean_us = 100.0;
-
-  // Either merge order lands in the same regime: the histogram survives.
-  const double bucket_us = serve::ServingStats::LatencyBucketValue(bin);
-  {
-    serve::ServingStats merged = modern;
-    serve::MergeInto(&merged, legacy);
-    EXPECT_EQ(merged.requests, 200u);
-    EXPECT_TRUE(merged.HasLatencyHist());
-    EXPECT_DOUBLE_EQ(merged.p50_us, bucket_us);
-    EXPECT_DOUBLE_EQ(merged.p99_us, bucket_us);
-    EXPECT_NEAR(merged.mean_us, (800.0 * 50 + 100.0 * 150) / 200, 1e-9);
-  }
-  {
-    serve::ServingStats merged = legacy;
-    serve::MergeInto(&merged, modern);
-    EXPECT_EQ(merged.requests, 200u);
-    EXPECT_TRUE(merged.HasLatencyHist());
-    EXPECT_DOUBLE_EQ(merged.p50_us, bucket_us);
-    EXPECT_DOUBLE_EQ(merged.p99_us, bucket_us);
-    EXPECT_NEAR(merged.mean_us, (100.0 * 150 + 800.0 * 50) / 200, 1e-9);
-  }
 }
 
 }  // namespace
