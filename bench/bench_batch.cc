@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
   for (const int max_batch : {1, 8}) {
     serve::ServingStats stats;  // From the last repetition.
     const bench::RepeatStats reps = bench::Repeat(repetitions, [&] {
+      const nn::arena::GlobalStats arena_start = nn::arena::GlobalArenaStats();
       serve::RouterConfig serving;
       serving.num_threads = 2;
       serving.max_batch = max_batch;
@@ -246,6 +247,7 @@ int main(int argc, char** argv) {
                               .count();
       router.Shutdown();
       stats = router.stats().total;
+      bench::ArenaCountersSince(arena_start, &stats);
 
       if (max_batch == 8 && serving_exact) {
         // Batched serving must return exactly what the direct per-list

@@ -9,6 +9,7 @@
 #include "core/rapid.h"
 #include "eval/pipeline.h"
 #include "eval/table.h"
+#include "nn/arena.h"
 #include "rankers/din.h"
 #include "rankers/lambdamart.h"
 #include "rankers/svmrank.h"
@@ -17,6 +18,7 @@
 #include "rerank/neural_models.h"
 #include "rerank/pdgan.h"
 #include "rerank/ssd.h"
+#include "serve/metrics.h"
 
 namespace rapid::bench {
 
@@ -47,6 +49,20 @@ inline std::unique_ptr<rank::Ranker> StandardDin() {
   rank::DinConfig cfg;
   cfg.epochs = 1;
   return std::make_unique<rank::DinRanker>(cfg);
+}
+
+/// `serve::ServingStats` carries the arena counters (`arena_allocs`,
+/// `arena_heap_allocs`, `arena_chunk_mallocs`) process-cumulative, the way a
+/// live scrape reports them. A bench row describes one run, so a bench
+/// reads `nn::arena::GlobalArenaStats()` as the run begins and passes it
+/// here to turn those three into per-run deltas. `arena_reserved_bytes`
+/// stays a live gauge and `arena_high_water_bytes` the process-lifetime
+/// peak.
+inline void ArenaCountersSince(const nn::arena::GlobalStats& start,
+                               serve::ServingStats* stats) {
+  stats->arena_allocs -= start.arena_allocs;
+  stats->arena_heap_allocs -= start.heap_allocs;
+  stats->arena_chunk_mallocs -= start.chunk_mallocs;
 }
 
 /// Training epochs for the neural re-rankers in bench runs.

@@ -115,6 +115,8 @@ int main(int argc, char** argv) {
   const int swaps = quick ? 6 : 12;
   const int total = submitters * requests_per_submitter;
 
+  const nn::arena::GlobalStats swap_arena_start =
+      nn::arena::GlobalArenaStats();
   serve::RouterConfig router_cfg;
   router_cfg.num_threads = 4;
   router_cfg.max_batch = 4;
@@ -173,7 +175,8 @@ int main(int argc, char** argv) {
   const double swap_secs =
       std::chrono::duration<double>(Clock::now() - t0).count();
   router.Shutdown();
-  const serve::RouterStats swap_stats = router.stats();
+  serve::RouterStats swap_stats = router.stats();
+  bench::ArenaCountersSince(swap_arena_start, &swap_stats.total);
 
   double swap_ms_max = 0.0, swap_ms_sum = 0.0;
   for (double ms : swap_ms) {
@@ -217,6 +220,7 @@ int main(int argc, char** argv) {
     uint64_t shed = 0;
   };
   auto run_policy = [&](serve::AdmissionPolicy policy) {
+    const nn::arena::GlobalStats arena_start = nn::arena::GlobalArenaStats();
     serve::RouterConfig cfg;
     cfg.num_threads = 2;
     cfg.max_batch = 1;
@@ -243,6 +247,7 @@ int main(int argc, char** argv) {
     r.Shutdown();
     const serve::RouterStats stats = r.stats();
     result.stats = stats.total;
+    bench::ArenaCountersSince(arena_start, &result.stats);
     result.shed = stats.total.shed;
     return result;
   };

@@ -6,7 +6,9 @@
 //
 // The sweep runs in two modes:
 //  - "compute":       requests are pure model inference. Scaling here
-//                     tracks physical cores (flat on a 1-core box).
+//                     tracks physical cores: RAPID's graph-free forward
+//                     allocates nothing per op, so workers do not contend
+//                     on the allocator (flat on a 1-core box).
 //  - "fetch+compute": each request first emulates the feature-store /
 //                     candidate-fetch RPC that precedes scoring in a live
 //                     recommender (cf. arXiv:2004.06390). The router
@@ -15,10 +17,18 @@
 //                     workers) even when cores are scarce.
 //
 // Output is one JSON object on stdout (perf-trajectory artifact); progress
-// goes to stderr.
+// goes to stderr. Each row's `stats.arena_{allocs,heap_allocs,
+// chunk_mallocs}` count that row's run only (see `ArenaCountersSince`).
 //
 //   ./build/bench/bench_serving            # full sweep
 //   ./build/bench/bench_serving --quick    # fewer requests (smoke test)
+//   ./build/bench/bench_serving --quick --check
+//
+// `--check` makes it a gate (tier-2 `perf_scaling_gate`): it exits 1
+// unless every served answer of the sweep equals a direct `Rerank` of the
+// same list, and, on a host with at least 4 hardware threads, compute-mode
+// throughput at 4 workers is at least 2.0x the 1-worker figure. On smaller
+// hosts the scaling clause is skipped, and the bench says so.
 
 #include <chrono>
 #include <cstdio>
@@ -64,9 +74,12 @@ class FetchStallReranker : public rapid::rerank::Reranker {
 int main(int argc, char** argv) {
   using namespace rapid;
   bool quick = false;
+  bool check = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+    if (std::strcmp(argv[i], "--check") == 0) check = true;
   }
+  constexpr double kMinComputeScaling4 = 2.0;
 
   // A mid-size universe: big enough that one Rerank call does real matrix
   // work, small enough that the whole sweep runs in a couple of minutes.
@@ -109,6 +122,13 @@ int main(int argc, char** argv) {
   for (int i = 0; i < total_requests; ++i) {
     stream.push_back(&env.test_lists()[i % env.test_lists().size()]);
   }
+  // The answer every served request must match: a direct Rerank.
+  std::vector<std::vector<int>> expected;
+  expected.reserve(stream.size());
+  for (const data::ImpressionList* list : stream) {
+    expected.push_back(model->Rerank(env.dataset(), *list));
+  }
+  uint64_t mismatched = 0;
 
   struct Mode {
     const char* name;
@@ -123,6 +143,7 @@ int main(int argc, char** argv) {
 
   std::string results_json;
   bool first = true;
+  double compute_scaling_4 = 0.0;
   for (const Mode& mode : modes) {
     const auto served =
         std::make_shared<FetchStallReranker>(*model, mode.stall_us);
@@ -130,6 +151,8 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4, 8}) {
       serve::ServingStats stats;  // From the last repetition.
       const bench::RepeatStats reps = bench::Repeat(repetitions, [&] {
+        const nn::arena::GlobalStats arena_start =
+            nn::arena::GlobalArenaStats();
         serve::RouterConfig serving;
         serving.num_threads = threads;
         serving.max_batch = 4;
@@ -145,17 +168,27 @@ int main(int argc, char** argv) {
         for (const data::ImpressionList* list : stream) {
           futures.push_back(router.Submit({"main", serve::Lane::kHigh, *list}));
         }
-        for (auto& f : futures) f.get();
+        std::vector<serve::RouterResponse> responses;
+        responses.reserve(futures.size());
+        for (auto& f : futures) responses.push_back(f.get());
         const double secs = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
         router.Shutdown();
         stats = router.stats().total;
+        bench::ArenaCountersSince(arena_start, &stats);
+        for (size_t i = 0; i < responses.size(); ++i) {
+          mismatched += responses[i].degraded ||
+                        responses[i].items != expected[i];
+        }
         return static_cast<double>(total_requests) / secs;
       });
 
       const double throughput = reps.median;
       if (threads == 1) throughput_1 = throughput;
+      if (threads == 4 && mode.stall_us == 0) {
+        compute_scaling_4 = throughput_1 > 0 ? throughput / throughput_1 : 0.0;
+      }
       std::fprintf(
           stderr,
           "[serving] %-13s threads=%d  %7.0f req/s median of %d "
@@ -181,6 +214,7 @@ int main(int argc, char** argv) {
 
   // Final pass: a tight deadline at 4 threads to exercise the graceful
   // degradation path under load.
+  const nn::arena::GlobalStats arena_start = nn::arena::GlobalArenaStats();
   serve::RouterConfig serving;
   serving.num_threads = 4;
   serving.deadline_us = quick ? 2000 : 5000;
@@ -193,20 +227,49 @@ int main(int argc, char** argv) {
   }
   for (auto& f : futures) f.get();
   router.Shutdown();
-  const serve::ServingStats stats = router.stats().total;
+  serve::ServingStats stats = router.stats().total;
+  bench::ArenaCountersSince(arena_start, &stats);
   std::fprintf(stderr,
                "[serving] deadline=%lldus: %llu/%llu degraded to fallback\n",
                static_cast<long long>(serving.deadline_us),
                static_cast<unsigned long long>(stats.fallbacks),
                static_cast<unsigned long long>(stats.requests));
 
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::printf(
       "{\"bench\": \"serving\", \"requests\": %d, \"list_len\": %d, "
-      "\"hardware_threads\": %u, \"results\": [\n%s\n], "
+      "\"hardware_threads\": %u, \"compute_scaling_4t\": %.2f, "
+      "\"answers_mismatched\": %llu, \"results\": [\n%s\n], "
       "\"deadline_run\": {\"threads\": 4, \"deadline_us\": %lld, "
       "\"stats\": %s}}\n",
-      total_requests, config.list_len, std::thread::hardware_concurrency(),
-      results_json.c_str(), static_cast<long long>(serving.deadline_us),
-      stats.ToJson().c_str());
-  return 0;
+      total_requests, config.list_len, hardware_threads, compute_scaling_4,
+      static_cast<unsigned long long>(mismatched), results_json.c_str(),
+      static_cast<long long>(serving.deadline_us), stats.ToJson().c_str());
+
+  if (!check) return 0;
+  bool ok = true;
+  if (mismatched > 0) {
+    std::fprintf(stderr,
+                 "[serving] CHECK FAILED: %llu served answers differ from a "
+                 "direct Rerank\n",
+                 static_cast<unsigned long long>(mismatched));
+    ok = false;
+  }
+  if (hardware_threads < 4) {
+    std::fprintf(stderr,
+                 "[serving] %u hardware threads (< 4): skipping the "
+                 "compute-scaling clause\n",
+                 hardware_threads);
+  } else if (compute_scaling_4 < kMinComputeScaling4) {
+    std::fprintf(stderr,
+                 "[serving] CHECK FAILED: compute mode at 4 workers is "
+                 "%.2fx the 1-worker throughput (need >= %.1fx)\n",
+                 compute_scaling_4, kMinComputeScaling4);
+    ok = false;
+  }
+  std::fprintf(stderr, "[serving] check %s: 4-worker compute scaling %.2fx, "
+               "%llu mismatched answers\n",
+               ok ? "passed" : "FAILED", compute_scaling_4,
+               static_cast<unsigned long long>(mismatched));
+  return ok ? 0 : 1;
 }

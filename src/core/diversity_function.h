@@ -38,6 +38,12 @@ std::vector<std::vector<float>> MarginalDiversityOf(
     DiversityFunctionKind kind, const data::Dataset& data,
     const std::vector<int>& item_ids);
 
+/// `MarginalDiversityOf` into a row-major `(item_ids.size() x m)` block at
+/// `out`, without allocating.
+void MarginalDiversityOfInto(DiversityFunctionKind kind,
+                             const data::Dataset& data,
+                             const std::vector<int>& item_ids, float* out);
+
 /// Human-readable name for tables.
 const char* DiversityFunctionName(DiversityFunctionKind kind);
 

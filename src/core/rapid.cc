@@ -1,10 +1,12 @@
 #include "core/rapid.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
 
 #include "datagen/history.h"
+#include "nn/kernels.h"
 
 namespace rapid::core {
 
@@ -30,6 +32,31 @@ std::vector<int> ListMajorIndex(int B, int L) {
     for (int i = 0; i < L; ++i) idx[b * L + i] = i * B + b;
   }
   return idx;
+}
+
+// RAPID-mean topic input: row j is [x_u, mean of topic j's item features]
+// over the real (mask 1) rows of the `TopicHistoryStepsInto` layout, or
+// zeros for a topic with no history. `x` is (m x (qu + qv)).
+void MeanTopicInputInto(const float* steps, const float* masks, int steps_n,
+                        int m, int qu, int qv, float* x) {
+  const size_t width = static_cast<size_t>(qu + qv);
+  std::fill_n(x, m * width, 0.0f);
+  for (int j = 0; j < m; ++j) {
+    int len = 0;
+    for (int t = 0; t < steps_n; ++t) len += masks[t * m + j] != 0.0f;
+    if (len == 0) continue;
+    const int first = steps_n - len;  // left padding: oldest real step
+    float* row = x + j * width;
+    const float* first_row =
+        steps + (static_cast<size_t>(first) * m + j) * width;
+    std::copy(first_row, first_row + qu, row);  // x_u
+    for (int t = first; t < steps_n; ++t) {
+      const float* item = steps + (static_cast<size_t>(t) * m + j) * width + qu;
+      for (int k = 0; k < qv; ++k) {
+        row[qu + k] += item[k] / static_cast<float>(len);
+      }
+    }
+  }
 }
 
 // Tiles a per-list (L x d) constant (e.g. the sinusoidal positional
@@ -150,47 +177,32 @@ Variable RapidReranker::Theta(const data::Dataset& data, int user_id) const {
   const int D = rapid_config_.max_seq_len;
   const int qu = data.user_feature_dim();
   const int qv = data.item_feature_dim();
-  const data::User& user = data.user(user_id);
-  const auto seqs = data::SplitHistoryByTopic(data, user_id, D);
+  // The m per-topic behavior sequences as the D left-padded steps of one
+  // batched recurrence; the mask keeps padded topics' state unchanged.
+  nn::Matrix steps(D * m, qu + qv);
+  nn::Matrix masks(D * m, 1);
+  data::TopicHistoryStepsInto(data, user_id, D, steps.data(), masks.data());
 
   Variable topic_repr;  // (m x q_h)
   if (rapid_config_.diversity_aggregator == DiversityAggregator::kLstm) {
     // Batch all m topic sequences through one shared LSTM: step t input is
-    // the (m x (qu+qv)) matrix of each topic's t-th item (left-padded), the
-    // mask keeps padded topics' state unchanged.
-    std::vector<Variable> inputs, masks;
+    // the (m x (qu+qv)) matrix of each topic's t-th item.
+    std::vector<Variable> inputs, step_masks;
     inputs.reserve(D);
-    masks.reserve(D);
+    step_masks.reserve(D);
     for (int t = 0; t < D; ++t) {
       nn::Matrix x(m, qu + qv);
       nn::Matrix mask(m, 1);
-      for (int j = 0; j < m; ++j) {
-        const int len = static_cast<int>(seqs[j].size());
-        const int offset = D - len;  // left padding
-        if (t >= offset) {
-          const data::Item& item = data.item(seqs[j][t - offset]);
-          for (int k = 0; k < qu; ++k) x.at(j, k) = user.features[k];
-          for (int k = 0; k < qv; ++k) x.at(j, qu + k) = item.features[k];
-          mask.at(j, 0) = 1.0f;
-        }
-      }
+      std::copy(steps.row(t * m), steps.row(t * m) + x.size(), x.data());
+      std::copy(masks.row(t * m), masks.row(t * m) + m, mask.data());
       inputs.push_back(Variable::Constant(std::move(x)));
-      masks.push_back(Variable::Constant(std::move(mask)));
+      step_masks.push_back(Variable::Constant(std::move(mask)));
     }
-    topic_repr = net_->topic_lstm->ForwardLast(inputs, masks);
+    topic_repr = net_->topic_lstm->ForwardLast(inputs, step_masks);
   } else {
     // RAPID-mean: mean item embedding per topic, projected to q_h.
     nn::Matrix x(m, qu + qv);
-    for (int j = 0; j < m; ++j) {
-      if (seqs[j].empty()) continue;
-      for (int k = 0; k < qu; ++k) x.at(j, k) = user.features[k];
-      for (int v : seqs[j]) {
-        const data::Item& item = data.item(v);
-        for (int k = 0; k < qv; ++k) {
-          x.at(j, qu + k) += item.features[k] / seqs[j].size();
-        }
-      }
-    }
+    MeanTopicInputInto(steps.data(), masks.data(), D, m, qu, qv, x.data());
     topic_repr = net_->mean_proj->Forward(Variable::Constant(std::move(x)));
   }
 
@@ -198,12 +210,44 @@ Variable RapidReranker::Theta(const data::Dataset& data, int user_id) const {
   // A sigmoid (not softmax) keeps per-topic preferences independent —
   // a softmax here collapses under the elementwise-product gradient path.
   Variable attended = nn::UnprojectedSelfAttention(topic_repr);
-  const std::vector<float> hist_dist =
-      data::HistoryTopicDistribution(data, user_id);
+  nn::Matrix hist_dist(1, m);
+  data::HistoryTopicDistributionInto(data, user_id, hist_dist.data());
   Variable theta = net_->theta_mlp->Forward(nn::ConcatCols(
       {nn::FlattenToRow(attended),
-       Variable::Constant(nn::Matrix::RowVector(hist_dist))}));  // (1 x m)
+       Variable::Constant(std::move(hist_dist))}));  // (1 x m)
   return nn::Sigmoid(theta);
+}
+
+void RapidReranker::ThetaInfer(const data::Dataset& data, int user_id,
+                               float* theta, nn::Workspace& ws) const {
+  const int m = data.num_topics;
+  const int D = rapid_config_.max_seq_len;
+  const int h = rapid_config_.hidden_dim;
+  const int qu = data.user_feature_dim();
+  const int qv = data.item_feature_dim();
+  nn::Workspace::Scope scope(ws);
+  float* steps = ws.Take(static_cast<size_t>(D) * m * (qu + qv));
+  float* masks = ws.Take(static_cast<size_t>(D) * m);
+  data::TopicHistoryStepsInto(data, user_id, D, steps, masks);
+  const float* topic_repr;  // (m x q_h)
+  if (rapid_config_.diversity_aggregator == DiversityAggregator::kLstm) {
+    float* states = ws.Take(static_cast<size_t>(D) * m * h);
+    net_->topic_lstm->Infer(steps, masks, D, m, /*reverse=*/false, states,
+                            ws);
+    topic_repr = states + static_cast<size_t>(D - 1) * m * h;
+  } else {
+    float* x = ws.Take(static_cast<size_t>(m) * (qu + qv));
+    MeanTopicInputInto(steps, masks, D, m, qu, qv, x);
+    float* repr = ws.Take(static_cast<size_t>(m) * h);
+    net_->mean_proj->Infer(x, m, repr);
+    topic_repr = repr;
+  }
+  // [FlattenToRow(attended), history topic distribution] as one row.
+  float* theta_in = ws.Take(static_cast<size_t>(m) * h + m);
+  nn::UnprojectedSelfAttentionInfer(topic_repr, m, h, theta_in, ws);
+  data::HistoryTopicDistributionInto(data, user_id, theta_in + m * h);
+  net_->theta_mlp->Infer(theta_in, 1, theta, ws);
+  nn::kernel::Active().sigmoid(theta, theta, m);
 }
 
 Variable RapidReranker::BuildBatchLogits(
@@ -266,6 +310,87 @@ Variable RapidReranker::BuildBatchLogits(
                    nn::Mul(sigma, Variable::Constant(std::move(noise))));
   }
   return nn::Add(mean_logits, sigma);
+}
+
+bool RapidReranker::InferBatchLogits(
+    const data::Dataset& data,
+    const std::vector<const data::ImpressionList*>& lists, nn::Workspace& ws,
+    float* logits) const {
+  if (rapid_config_.relevance_encoder != RelevanceEncoder::kBiLstm) {
+    return false;
+  }
+  const nn::kernel::KernelTable& kt = nn::kernel::Active();
+  const int B = static_cast<int>(lists.size());
+  const int L = static_cast<int>(lists[0]->items.size());
+  const int rows = B * L;
+  const int h2 = 2 * rapid_config_.hidden_dim;
+  const int F = net_->rel_in_dim;
+  const int m = data.num_topics;
+  const bool diversity =
+      rapid_config_.diversity_aggregator != DiversityAggregator::kNone;
+  const int cols = h2 + F + (diversity ? m + 1 : 0);
+  nn::Workspace::Scope scope(ws);
+
+  // Relevance: the Bi-LSTM over the time-major features (row t*B + b is
+  // item t of list b), then head_in rows [H, e] in list-major order.
+  float* feats = ws.Take(static_cast<size_t>(rows) * F);
+  for (int b = 0; b < B; ++b) {
+    rerank::ListFeatureRowsInto(data, *lists[b], feats + b * F,
+                                static_cast<size_t>(B) * F);
+  }
+  float* states = ws.Take(static_cast<size_t>(rows) * h2);
+  net_->bilstm->Infer(feats, L, B, states, ws);
+  float* head_in = ws.Take(static_cast<size_t>(rows) * cols);
+  for (int b = 0; b < B; ++b) {
+    for (int t = 0; t < L; ++t) {
+      float* row = head_in + static_cast<size_t>(b * L + t) * cols;
+      const size_t tm = static_cast<size_t>(t) * B + b;
+      std::copy(states + tm * h2, states + (tm + 1) * h2, row);
+      std::copy(feats + tm * F, feats + (tm + 1) * F, row + h2);
+    }
+  }
+
+  if (diversity) {
+    // Delta = d_R ⊙ theta per list, then [Delta, sum(Delta)] per row. A
+    // user repeated in the batch reuses its first theta.
+    float* theta = ws.Take(static_cast<size_t>(B) * m);
+    float* md = ws.Take(static_cast<size_t>(L) * m);
+    float* delta = ws.Take(static_cast<size_t>(L) * m);
+    float* delta_sum = ws.Take(L);
+    for (int b = 0; b < B; ++b) {
+      const data::ImpressionList& list = *lists[b];
+      float* theta_b = theta + static_cast<size_t>(b) * m;
+      int first = 0;
+      while (lists[first]->user_id != list.user_id) ++first;
+      if (first < b) {
+        std::copy(theta + first * m, theta + (first + 1) * m, theta_b);
+      } else {
+        ThetaInfer(data, list.user_id, theta_b, ws);
+      }
+      MarginalDiversityOfInto(rapid_config_.diversity_function, data,
+                              list.items, md);
+      nn::MulRowBroadcastInto(md, theta_b, delta, L, m);
+      nn::SumColsInto(delta, delta_sum, L, m);
+      for (int i = 0; i < L; ++i) {
+        float* row = head_in + static_cast<size_t>(b * L + i) * cols + h2 + F;
+        std::copy(delta + i * m, delta + (i + 1) * m, row);
+        row[m] = delta_sum[i];
+      }
+    }
+  }
+
+  if (rapid_config_.head == OutputHead::kDeterministic) {
+    net_->score_mlp->Infer(head_in, rows, logits, ws);
+    return true;
+  }
+  // UCB inference: mean + softplus(std head).
+  float* mean = ws.Take(rows);
+  float* sigma = ws.Take(rows);
+  net_->score_mlp->Infer(head_in, rows, mean, ws);
+  net_->sigma_mlp->Infer(head_in, rows, sigma, ws);
+  nn::SoftplusInto(sigma, sigma, rows);
+  kt.add(mean, sigma, logits, rows);
+  return true;
 }
 
 std::vector<Variable> RapidReranker::Params() const {

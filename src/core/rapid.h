@@ -85,6 +85,11 @@ class RapidReranker : public rerank::NeuralReranker {
       const data::Dataset& data,
       const std::vector<const data::ImpressionList*>& lists, bool training,
       std::mt19937_64& rng) const override;
+  /// The graph-free forward for the Bi-LSTM relevance encoder (every
+  /// config but RAPID-trans, which keeps the graph path).
+  bool InferBatchLogits(const data::Dataset& data,
+                        const std::vector<const data::ImpressionList*>& lists,
+                        nn::Workspace& ws, float* logits) const override;
   std::vector<nn::Variable> Params() const override;
 
  private:
@@ -97,6 +102,9 @@ class RapidReranker : public rerank::NeuralReranker {
       const std::vector<const data::ImpressionList*>& lists) const;
   /// Preference distribution theta (1 x m) for a user.
   nn::Variable Theta(const data::Dataset& data, int user_id) const;
+  /// `Theta(data, user_id).value()` into `theta[0, m)`, graph-free.
+  void ThetaInfer(const data::Dataset& data, int user_id, float* theta,
+                  nn::Workspace& ws) const;
 
   RapidConfig rapid_config_;
   std::unique_ptr<Net> net_;

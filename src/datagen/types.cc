@@ -27,39 +27,46 @@ std::vector<float> CoverageVector(const Dataset& data,
 
 std::vector<std::vector<float>> MarginalDiversity(
     const Dataset& data, const std::vector<int>& item_ids) {
-  const int m = data.num_topics;
-  const int L = static_cast<int>(item_ids.size());
-  // prod_all[j] = prod_v (1 - tau_v^j). Marginal diversity of item i in
-  // topic j is prod_{v != i}(1 - tau_v^j) * tau_i^j. Guard division by zero
-  // when some tau is exactly 1 by recomputing the leave-one-out product.
-  std::vector<double> prod_all(m, 1.0);
-  std::vector<int> zero_count(m, 0);
-  for (int i = 0; i < L; ++i) {
-    const auto& tau = data.item(item_ids[i]).topic_coverage;
-    for (int j = 0; j < m; ++j) {
-      const double f = 1.0 - tau[j];
-      if (f == 0.0) {
-        ++zero_count[j];
-      } else {
-        prod_all[j] *= f;
-      }
-    }
-  }
-  std::vector<std::vector<float>> out(L, std::vector<float>(m));
-  for (int i = 0; i < L; ++i) {
-    const auto& tau = data.item(item_ids[i]).topic_coverage;
-    for (int j = 0; j < m; ++j) {
-      const double f = 1.0 - tau[j];
-      double loo;  // prod over v != i of (1 - tau_v^j)
-      if (f == 0.0) {
-        loo = (zero_count[j] == 1) ? prod_all[j] : 0.0;
-      } else {
-        loo = (zero_count[j] > 0) ? 0.0 : prod_all[j] / f;
-      }
-      out[i][j] = static_cast<float>(loo * tau[j]);
-    }
+  const size_t m = data.num_topics;
+  std::vector<float> flat(item_ids.size() * m);
+  MarginalDiversityInto(data, item_ids, flat.data());
+  std::vector<std::vector<float>> out(item_ids.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].assign(flat.begin() + i * m, flat.begin() + (i + 1) * m);
   }
   return out;
+}
+
+void MarginalDiversityInto(const Dataset& data,
+                           const std::vector<int>& item_ids, float* out) {
+  const int m = data.num_topics;
+  const int L = static_cast<int>(item_ids.size());
+  // prod_all = prod_v (1 - tau_v^j). Marginal diversity of item i in topic
+  // j is prod_{v != i}(1 - tau_v^j) * tau_i^j. Guard division by zero when
+  // some tau is exactly 1 by recomputing the leave-one-out product.
+  for (int j = 0; j < m; ++j) {
+    double prod_all = 1.0;
+    int zero_count = 0;
+    for (int i = 0; i < L; ++i) {
+      const double f = 1.0 - data.item(item_ids[i]).topic_coverage[j];
+      if (f == 0.0) {
+        ++zero_count;
+      } else {
+        prod_all *= f;
+      }
+    }
+    for (int i = 0; i < L; ++i) {
+      const float tau = data.item(item_ids[i]).topic_coverage[j];
+      const double f = 1.0 - tau;
+      double loo;  // prod over v != i of (1 - tau_v^j)
+      if (f == 0.0) {
+        loo = (zero_count == 1) ? prod_all : 0.0;
+      } else {
+        loo = (zero_count > 0) ? 0.0 : prod_all / f;
+      }
+      out[static_cast<size_t>(i) * m + j] = static_cast<float>(loo * tau);
+    }
+  }
 }
 
 }  // namespace rapid::data

@@ -111,6 +111,11 @@ std::vector<float> CoverageVector(const Dataset& data,
 std::vector<std::vector<float>> MarginalDiversity(
     const Dataset& data, const std::vector<int>& item_ids);
 
+/// `MarginalDiversity` into a row-major `(item_ids.size() x m)` block at
+/// `out`, without allocating.
+void MarginalDiversityInto(const Dataset& data,
+                           const std::vector<int>& item_ids, float* out);
+
 }  // namespace rapid::data
 
 #endif  // RAPID_DATAGEN_TYPES_H_

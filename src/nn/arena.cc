@@ -62,16 +62,7 @@ struct ThreadArena {
   uint64_t arena_allocs = 0;
   uint64_t chunk_mallocs = 0;
 
-  ~ThreadArena() {
-    depth = 0;
-    Chunk* c = head;
-    head = cur = nullptr;
-    while (c != nullptr) {
-      Chunk* next = c->next;
-      std::free(c);
-      c = next;
-    }
-  }
+  ~ThreadArena();
 };
 
 thread_local ThreadArena tl_arena;
@@ -82,6 +73,21 @@ std::atomic<uint64_t> g_arena_allocs{0};
 std::atomic<uint64_t> g_chunk_mallocs{0};
 std::atomic<uint64_t> g_reserved_bytes{0};
 std::atomic<uint64_t> g_high_water{0};
+
+// Frees this thread's chunks at thread exit and takes their capacity out
+// of the process-wide reserved-bytes gauge.
+ThreadArena::~ThreadArena() {
+  depth = 0;
+  g_reserved_bytes.fetch_sub(reserved, std::memory_order_relaxed);
+  reserved = 0;
+  Chunk* c = head;
+  head = cur = nullptr;
+  while (c != nullptr) {
+    Chunk* next = c->next;
+    std::free(c);
+    c = next;
+  }
+}
 
 inline uintptr_t AlignUp(uintptr_t p, size_t align) {
   return (p + align - 1) & ~static_cast<uintptr_t>(align - 1);

@@ -53,6 +53,9 @@ struct KernelTable {
   void (*gemm_nt)(const float* a, const float* b, float* c, int m, int n,
                   int k);
 
+  /// The elementwise maps below read `x[i]` before they write `y[i]` on
+  /// both backends, so `y` may alias `x` (an in-place map).
+  ///
   /// y[i] = sigmoid(x[i]) (numerically stable for both signs).
   void (*sigmoid)(const float* x, float* y, int n);
   /// y[i] = tanh(x[i]).

@@ -1,7 +1,10 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "nn/kernels.h"
 
 namespace rapid::nn {
 
@@ -11,6 +14,32 @@ namespace {
 Matrix XavierUniform(int in_dim, int out_dim, std::mt19937_64& rng) {
   const float limit = std::sqrt(6.0f / (in_dim + out_dim));
   return Matrix::Uniform(in_dim, out_dim, -limit, limit, rng);
+}
+
+// `c (m x n) = a (m x k) * b (k x n)` exactly as `Gemm(a, b, &c)` computes
+// it for `MatMul`: zero `c`, then one accumulating `gemm_nn`.
+void GemmInto(const float* a, const float* b, float* c, int m, int n, int k) {
+  std::fill_n(c, static_cast<size_t>(m) * n, 0.0f);
+  if (m == 0 || n == 0 || k == 0) return;
+  kernel::Active().gemm_nn(a, b, c, m, n, k);
+}
+
+// `Activate` in place over `n` values (the kernel maps may alias).
+void ActivateInPlace(float* y, int n, Activation act) {
+  const kernel::KernelTable& kt = kernel::Active();
+  switch (act) {
+    case Activation::kIdentity:
+      return;
+    case Activation::kRelu:
+      kt.relu(y, y, n);
+      return;
+    case Activation::kTanh:
+      kt.tanh_act(y, y, n);
+      return;
+    case Activation::kSigmoid:
+      kt.sigmoid(y, y, n);
+      return;
+  }
 }
 
 }  // namespace
@@ -44,6 +73,13 @@ Variable Linear::Forward(const Variable& x) const {
   return Activate(AddRowBroadcast(MatMul(x, w_), b_), act_);
 }
 
+void Linear::Infer(const float* x, int rows, float* y) const {
+  const Matrix& w = w_.value();
+  GemmInto(x, w.data(), y, rows, w.cols(), w.rows());
+  kernel::Active().bias_row(y, b_.value().data(), rows, w.cols());
+  ActivateInPlace(y, rows * w.cols(), act_);
+}
+
 Mlp::Mlp(const std::vector<int>& dims, std::mt19937_64& rng,
          Activation hidden_act, Activation output_act) {
   assert(dims.size() >= 2);
@@ -58,6 +94,19 @@ Variable Mlp::Forward(const Variable& x) const {
   Variable h = x;
   for (const Linear& l : layers_) h = l.Forward(h);
   return h;
+}
+
+void Mlp::Infer(const float* x, int rows, float* y, Workspace& ws) const {
+  Workspace::Scope scope(ws);
+  const float* in = x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    float* out = i + 1 == layers_.size()
+                     ? y
+                     : ws.Take(static_cast<size_t>(rows) *
+                               layers_[i].out_dim());
+    layers_[i].Infer(in, rows, out);
+    in = out;
+  }
 }
 
 std::vector<Variable> Mlp::Params() const {
@@ -92,6 +141,50 @@ std::pair<Variable, Variable> LstmCell::Forward(const Variable& x,
   Variable c_new = Add(Mul(f, c), Mul(i, g));
   Variable h_new = Mul(o, Tanh(c_new));
   return {h_new, c_new};
+}
+
+void LstmCell::InferInput(const float* x, int rows, float* xw) const {
+  const Matrix& wx = wx_.value();
+  GemmInto(x, wx.data(), xw, rows, wx.cols(), wx.rows());
+}
+
+void LstmCell::Infer(const float* xw, const float* h, const float* c,
+                     int rows, float* h_out, float* c_out,
+                     Workspace& ws) const {
+  const kernel::KernelTable& kt = kernel::Active();
+  const int hd = hidden_dim_;
+  const int n4 = rows * 4 * hd;
+  const int n = rows * hd;
+  Workspace::Scope scope(ws);
+  float* hw = ws.Take(n4);
+  GemmInto(h, wh_.value().data(), hw, rows, 4 * hd, hd);
+  float* gates = ws.Take(n4);
+  kt.add(xw, hw, gates, n4);
+  kt.bias_row(gates, b_.value().data(), rows, 4 * hd);
+  // SliceCols into four (rows x hidden) blocks i | f | g | o.
+  float* act = ws.Take(static_cast<size_t>(4) * n);
+  for (int k = 0; k < 4; ++k) {
+    for (int r = 0; r < rows; ++r) {
+      const float* src = gates + static_cast<size_t>(r) * 4 * hd + k * hd;
+      std::copy(src, src + hd, act + static_cast<size_t>(k) * n + r * hd);
+    }
+  }
+  float* i = act;
+  float* f = act + n;
+  float* g = act + 2 * n;
+  float* o = act + 3 * n;
+  kt.sigmoid(i, i, n);
+  kt.sigmoid(f, f, n);
+  kt.tanh_act(g, g, n);
+  kt.sigmoid(o, o, n);
+  float* fc = ws.Take(n);
+  kt.mul(f, c, fc, n);
+  float* ig = ws.Take(n);
+  kt.mul(i, g, ig, n);
+  kt.add(fc, ig, c_out, n);
+  float* tanh_c = ws.Take(n);
+  kt.tanh_act(c_out, tanh_c, n);
+  kt.mul(o, tanh_c, h_out, n);
 }
 
 GruCell::GruCell(int in_dim, int hidden_dim, std::mt19937_64& rng)
@@ -145,6 +238,47 @@ std::vector<Variable> Lstm::Forward(const std::vector<Variable>& inputs,
   return states;
 }
 
+void Lstm::Infer(const float* x, const float* masks, int steps, int batch,
+                 bool reverse, float* states, Workspace& ws) const {
+  const kernel::KernelTable& kt = kernel::Active();
+  const int hd = cell_.hidden_dim();
+  const size_t n = static_cast<size_t>(batch) * hd;
+  const size_t n4 = 4 * n;
+  Workspace::Scope scope(ws);
+  float* xw = ws.Take(steps * n4);
+  cell_.InferInput(x, steps * batch, xw);
+  float* zero = ws.Take(n);  // the zero initial h and c
+  std::fill_n(zero, n, 0.0f);
+  float* c_bufs[2] = {ws.Take(n), ws.Take(n)};
+  const float* h = zero;
+  const float* c = zero;
+  for (int k = 0; k < steps; ++k) {
+    const int t = reverse ? steps - 1 - k : k;
+    float* h_new = states + t * n;
+    float* c_new = c_bufs[k % 2];
+    Workspace::Scope step_scope(ws);
+    cell_.Infer(xw + t * n4, h, c, batch, h_new, c_new, ws);
+    if (masks != nullptr) {
+      // Masked rows keep the previous state: s = m*s_new + (1-m)*s_old.
+      const float* m = masks + static_cast<size_t>(t) * batch;
+      float* inv_m = ws.Take(batch);
+      std::copy(m, m + batch, inv_m);
+      kt.scale(inv_m, -1.0f, batch);
+      AddScalarInto(inv_m, 1.0f, inv_m, batch);
+      float* kept = ws.Take(n);
+      float* carried = ws.Take(n);
+      MulColBroadcastInto(h_new, m, kept, batch, hd);
+      MulColBroadcastInto(h, inv_m, carried, batch, hd);
+      kt.add(kept, carried, h_new, n);
+      MulColBroadcastInto(c_new, m, kept, batch, hd);
+      MulColBroadcastInto(c, inv_m, carried, batch, hd);
+      kt.add(kept, carried, c_new, n);
+    }
+    h = h_new;
+    c = c_new;
+  }
+}
+
 Variable Lstm::ForwardLast(const std::vector<Variable>& inputs,
                            const std::vector<Variable>& masks) const {
   return Forward(inputs, masks).back();
@@ -165,6 +299,24 @@ std::vector<Variable> BiLstm::Forward(
         {fwd_states[t], bwd_states[inputs.size() - 1 - t]}));
   }
   return out;
+}
+
+void BiLstm::Infer(const float* x, int steps, int batch, float* out,
+                   Workspace& ws) const {
+  const int hd = hidden_dim();
+  const int rows = steps * batch;
+  Workspace::Scope scope(ws);
+  float* fwd = ws.Take(static_cast<size_t>(rows) * hd);
+  float* bwd = ws.Take(static_cast<size_t>(rows) * hd);
+  fwd_.Infer(x, nullptr, steps, batch, /*reverse=*/false, fwd, ws);
+  bwd_.Infer(x, nullptr, steps, batch, /*reverse=*/true, bwd, ws);
+  for (int r = 0; r < rows; ++r) {
+    float* dst = out + static_cast<size_t>(r) * 2 * hd;
+    std::copy(fwd + static_cast<size_t>(r) * hd,
+              fwd + static_cast<size_t>(r + 1) * hd, dst);
+    std::copy(bwd + static_cast<size_t>(r) * hd,
+              bwd + static_cast<size_t>(r + 1) * hd, dst + hd);
+  }
 }
 
 std::vector<Variable> BiLstm::Params() const {
@@ -189,6 +341,25 @@ Variable UnprojectedSelfAttention(const Variable& v, int segment) {
     blocks.push_back(MatMul(SoftmaxRows(scores), vb));
   }
   return ConcatRows(blocks);
+}
+
+void UnprojectedSelfAttentionInfer(const float* v, int rows, int cols,
+                                   float* out, Workspace& ws) {
+  const kernel::KernelTable& kt = kernel::Active();
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(cols));
+  Workspace::Scope scope(ws);
+  float* vt = ws.Take(static_cast<size_t>(cols) * rows);  // Transpose(v)
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      vt[static_cast<size_t>(c) * rows + r] =
+          v[static_cast<size_t>(r) * cols + c];
+    }
+  }
+  float* scores = ws.Take(static_cast<size_t>(rows) * rows);
+  GemmInto(v, vt, scores, rows, rows, cols);
+  kt.scale(scores, inv_sqrt_d, rows * rows);
+  kt.softmax_rows(scores, rows, rows);
+  GemmInto(scores, v, out, rows, cols, rows);
 }
 
 MultiHeadAttention::MultiHeadAttention(int dim, int num_heads,

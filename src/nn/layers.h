@@ -8,6 +8,7 @@
 
 #include "nn/ops.h"
 #include "nn/variable.h"
+#include "nn/workspace.h"
 
 namespace rapid::nn {
 
@@ -16,6 +17,17 @@ enum class Activation { kIdentity, kRelu, kTanh, kSigmoid };
 
 /// Applies the selected activation to `x`.
 Variable Activate(const Variable& x, Activation act);
+
+// Graph-free inference. Beside `Forward`, the layers below carry an
+// `Infer` method that computes the same values over raw row-major buffers
+// from an `nn::Workspace`: no `Variable`, no `Node`, no per-op
+// allocation. Each `Infer` calls the same `KernelTable` entries, in the
+// same order, on the same per-element operands as its `Forward` (a zeroed
+// `gemm_nn` per `MatMul`, `Add` as a separate `add`, `Transpose` as a copy
+// followed by `gemm_nn`), and the kernel contract (nn/kernels.h) makes a
+// per-row or per-slice call bitwise equal to a whole-matrix one. So
+// `Infer` is bitwise equal to `Forward(...).value()` on either backend.
+// Weights are read through `const Matrix&`; `Params()` is never called.
 
 /// Base class for trainable components: anything that owns parameters.
 class Module {
@@ -35,6 +47,9 @@ class Linear : public Module {
          Activation act = Activation::kIdentity);
 
   Variable Forward(const Variable& x) const;
+  /// `y (rows x out) = act(x W + b)` for `x (rows x in)`. `y` must not
+  /// alias `x`.
+  void Infer(const float* x, int rows, float* y) const;
   std::vector<Variable> Params() const override { return {w_, b_}; }
 
   int in_dim() const { return w_.rows(); }
@@ -57,6 +72,9 @@ class Mlp : public Module {
       Activation output_act = Activation::kIdentity);
 
   Variable Forward(const Variable& x) const;
+  /// `Forward` over `x (rows x in)` into `y (rows x out)`; hidden layers
+  /// take their buffers from `ws`.
+  void Infer(const float* x, int rows, float* y, Workspace& ws) const;
   std::vector<Variable> Params() const override;
 
  private:
@@ -73,6 +91,15 @@ class LstmCell : public Module {
   /// Returns the new `(h, c)`.
   std::pair<Variable, Variable> Forward(const Variable& x, const Variable& h,
                                         const Variable& c) const;
+
+  /// The input half of the gate pre-activation, `xw = x Wx`, for `rows`
+  /// rows of `x (rows x in)` into `xw (rows x 4h)`. Row-independent, so one
+  /// call can project every step of a sequence at once.
+  void InferInput(const float* x, int rows, float* xw) const;
+  /// One `Forward` step given `xw` from `InferInput`: reads `h`, `c`
+  /// `(rows x hidden)`, writes `h_out`, `c_out` (which must alias neither).
+  void Infer(const float* xw, const float* h, const float* c, int rows,
+             float* h_out, float* c_out, Workspace& ws) const;
 
   std::vector<Variable> Params() const override { return {wx_, wh_, b_}; }
   int hidden_dim() const { return hidden_dim_; }
@@ -121,6 +148,16 @@ class Lstm : public Module {
   Variable ForwardLast(const std::vector<Variable>& inputs,
                        const std::vector<Variable>& masks = {}) const;
 
+  /// `Forward` over `steps` time-major steps of `batch` rows: step `t` is
+  /// rows `[t*batch, (t+1)*batch)` of `x (steps*batch x in)`, and `masks`
+  /// is null or `steps*batch` 0/1 values in the same layout. Writes each
+  /// step's state into the same rows of `states (steps*batch x hidden)`.
+  /// With `reverse`, the steps run from last to first (the `Forward` of the
+  /// reversed sequence) and each state lands on the rows of the input that
+  /// produced it.
+  void Infer(const float* x, const float* masks, int steps, int batch,
+             bool reverse, float* states, Workspace& ws) const;
+
   std::vector<Variable> Params() const override { return cell_.Params(); }
   int hidden_dim() const { return cell_.hidden_dim(); }
 
@@ -135,6 +172,11 @@ class BiLstm : public Module {
   BiLstm(int in_dim, int hidden_dim, std::mt19937_64& rng);
 
   std::vector<Variable> Forward(const std::vector<Variable>& inputs) const;
+
+  /// `Forward` over time-major `x (steps*batch x in)` (layout as in
+  /// `Lstm::Infer`) into time-major `out (steps*batch x 2*hidden)`.
+  void Infer(const float* x, int steps, int batch, float* out,
+             Workspace& ws) const;
 
   std::vector<Variable> Params() const override;
   int hidden_dim() const { return fwd_.hidden_dim(); }
@@ -153,6 +195,11 @@ class BiLstm : public Module {
 /// bit-identical to calling the function on that block alone. `segment ==
 /// 0` (default) attends over all rows — the single-list case.
 Variable UnprojectedSelfAttention(const Variable& v, int segment = 0);
+
+/// `UnprojectedSelfAttention` of one block `v (rows x cols)` (segment 0)
+/// into `out (rows x cols)`, graph-free.
+void UnprojectedSelfAttentionInfer(const float* v, int rows, int cols,
+                                   float* out, Workspace& ws);
 
 /// Multi-head self-attention with learned Q/K/V/O projections over the rows
 /// of an `(L x d)` input — or, with `segment > 0`, a `(B*L x d)` stack of

@@ -1,5 +1,6 @@
 #include "nn/matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -188,6 +189,46 @@ void ScaleInPlace(Matrix* a, float s) {
 void AddRowBroadcastInPlace(Matrix* a, const Matrix& bias) {
   assert(bias.rows() == 1 && bias.cols() == a->cols());
   kernel::Active().bias_row(a->data(), bias.data(), a->rows(), a->cols());
+}
+
+void AddScalarInto(const float* x, float s, float* y, int n) {
+  for (int i = 0; i < n; ++i) y[i] = x[i] + s;
+}
+
+void SoftplusInto(const float* x, float* y, int n) {
+  for (int i = 0; i < n; ++i) {
+    const float v = x[i];
+    // Stable: softplus(v) = max(v, 0) + log1p(exp(-|v|)).
+    y[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
+  }
+}
+
+void MulColBroadcastInto(const float* x, const float* s, float* y, int rows,
+                         int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const float sv = s[r];
+    const float* xr = x + static_cast<size_t>(r) * cols;
+    float* yr = y + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) yr[c] = xr[c] * sv;
+  }
+}
+
+void MulRowBroadcastInto(const float* x, const float* v, float* y, int rows,
+                         int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const float* xr = x + static_cast<size_t>(r) * cols;
+    float* yr = y + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) yr[c] = xr[c] * v[c];
+  }
+}
+
+void SumColsInto(const float* x, float* y, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const float* xr = x + static_cast<size_t>(r) * cols;
+    double s = 0.0;
+    for (int c = 0; c < cols; ++c) s += xr[c];
+    y[r] = static_cast<float>(s);
+  }
 }
 
 }  // namespace rapid::nn

@@ -140,6 +140,25 @@ void ScaleInPlace(Matrix* a, float s);
 /// Adds the `1 x cols` row vector `bias` to every row of `a`.
 void AddRowBroadcastInPlace(Matrix* a, const Matrix& bias);
 
+/// Raw row-major forms of the arithmetic the graph ops in nn/ops.h do
+/// outside the kernel table. The ops and the graph-free inference path
+/// (the `Infer` methods in nn/layers.h) both call these, so each formula is
+/// written once and the two paths stay bitwise equal. `y` may alias `x`.
+///
+/// y[i] = x[i] + s.
+void AddScalarInto(const float* x, float s, float* y, int n);
+/// y[i] = softplus(x[i]) = max(x, 0) + log1p(exp(-|x|)).
+void SoftplusInto(const float* x, float* y, int n);
+/// y(r, c) = x(r, c) * s[r] over a (rows x cols) block.
+void MulColBroadcastInto(const float* x, const float* s, float* y, int rows,
+                         int cols);
+/// y(r, c) = x(r, c) * v[c] over a (rows x cols) block.
+void MulRowBroadcastInto(const float* x, const float* v, float* y, int rows,
+                         int cols);
+/// y[r] = sum over c of x(r, c), accumulated in double. `y` must not alias
+/// `x`.
+void SumColsInto(const float* x, float* y, int rows, int cols);
+
 }  // namespace rapid::nn
 
 #endif  // RAPID_NN_MATRIX_H_

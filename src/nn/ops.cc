@@ -77,11 +77,8 @@ Variable Mul(const Variable& a, const Variable& b) {
 Variable MulColBroadcast(const Variable& x, const Variable& s) {
   assert(s.rows() == x.rows() && s.cols() == 1);
   Matrix out = x.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    const float sv = s.value().at(r, 0);
-    float* row = out.row(r);
-    for (int c = 0; c < out.cols(); ++c) row[c] *= sv;
-  }
+  MulColBroadcastInto(out.data(), s.value().data(), out.data(), out.rows(),
+                      out.cols());
   return Variable::FromOp(std::move(out), {x, s}, [](Node& n) {
     const Matrix& xin = n.parents[0]->value;
     const Matrix& sin = n.parents[1]->value;
@@ -110,10 +107,8 @@ Variable MulColBroadcast(const Variable& x, const Variable& s) {
 Variable MulRowBroadcast(const Variable& x, const Variable& v) {
   assert(v.rows() == 1 && v.cols() == x.cols());
   Matrix out = x.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    float* row = out.row(r);
-    for (int c = 0; c < out.cols(); ++c) row[c] *= v.value().at(0, c);
-  }
+  MulRowBroadcastInto(out.data(), v.value().data(), out.data(), out.rows(),
+                      out.cols());
   return Variable::FromOp(std::move(out), {x, v}, [](Node& n) {
     const Matrix& xin = n.parents[0]->value;
     const Matrix& vin = n.parents[1]->value;
@@ -146,7 +141,7 @@ Variable Scale(const Variable& a, float s) {
 
 Variable AddScalar(const Variable& a, float s) {
   Matrix out = a.value();
-  for (int i = 0; i < out.size(); ++i) out.data()[i] += s;
+  AddScalarInto(out.data(), s, out.data(), out.size());
   return Variable::FromOp(std::move(out), {a}, [](Node& n) {
     if (NeedsGrad(n, 0)) AddInPlace(&n.parents[0]->grad, n.grad);
   });
@@ -193,11 +188,7 @@ Variable Relu(const Variable& x) {
 
 Variable Softplus(const Variable& x) {
   Matrix out = x.value();
-  for (int i = 0; i < out.size(); ++i) {
-    const float v = out.data()[i];
-    // Stable: softplus(v) = max(v, 0) + log1p(exp(-|v|)).
-    out.data()[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
-  }
+  SoftplusInto(out.data(), out.data(), out.size());
   return Variable::FromOp(std::move(out), {x}, [](Node& n) {
     if (!NeedsGrad(n, 0)) return;
     Matrix& pg = n.parents[0]->grad;
@@ -464,12 +455,7 @@ Variable MeanRows(const Variable& x) {
 
 Variable SumCols(const Variable& x) {
   Matrix out(x.rows(), 1);
-  for (int r = 0; r < x.rows(); ++r) {
-    const float* src = x.value().row(r);
-    double s = 0.0;
-    for (int c = 0; c < x.cols(); ++c) s += src[c];
-    out.at(r, 0) = static_cast<float>(s);
-  }
+  SumColsInto(x.value().data(), out.data(), x.rows(), x.cols());
   return Variable::FromOp(std::move(out), {x}, [](Node& n) {
     if (!NeedsGrad(n, 0)) return;
     Matrix& pg = n.parents[0]->grad;

@@ -7,27 +7,35 @@
 #include "nn/arena.h"
 #include "nn/serialize.h"
 #include "nn/variable.h"
+#include "nn/workspace.h"
 
 namespace rapid::rerank {
 
 nn::Matrix ListFeatureMatrix(const data::Dataset& data,
                              const data::ImpressionList& list) {
+  nn::Matrix out(static_cast<int>(list.items.size()), ListFeatureDim(data));
+  ListFeatureRowsInto(data, list, out.data(), out.cols());
+  return out;
+}
+
+void ListFeatureRowsInto(const data::Dataset& data,
+                         const data::ImpressionList& list, float* out,
+                         size_t row_stride) {
   const int L = static_cast<int>(list.items.size());
   const int qu = data.user_feature_dim();
   const int qv = data.item_feature_dim();
   const int m = data.num_topics;
-  nn::Matrix out(L, qu + qv + m + 1);
-  const std::vector<float> norm_scores = NormalizedScores(list);
+  assert(list.scores.size() == list.items.size());
   const data::User& user = data.user(list.user_id);
   for (int i = 0; i < L; ++i) {
     const data::Item& item = data.item(list.items[i]);
+    float* row = out + i * row_stride;
     int c = 0;
-    for (int k = 0; k < qu; ++k) out.at(i, c++) = user.features[k];
-    for (int k = 0; k < qv; ++k) out.at(i, c++) = item.features[k];
-    for (int j = 0; j < m; ++j) out.at(i, c++) = item.topic_coverage[j];
-    out.at(i, c++) = norm_scores[i];
+    for (int k = 0; k < qu; ++k) row[c++] = user.features[k];
+    for (int k = 0; k < qv; ++k) row[c++] = item.features[k];
+    for (int j = 0; j < m; ++j) row[c++] = item.topic_coverage[j];
   }
-  return out;
+  NormalizedScoresInto(list, out + qu + qv + m, row_stride);
 }
 
 int ListFeatureDim(const data::Dataset& data) {
@@ -44,9 +52,7 @@ nn::Matrix BatchFeatureMatrix(
   nn::Matrix out(static_cast<int>(lists.size()) * L, F);
   for (size_t b = 0; b < lists.size(); ++b) {
     assert(static_cast<int>(lists[b]->items.size()) == L);
-    const nn::Matrix m = ListFeatureMatrix(data, *lists[b]);
-    float* dst = out.row(static_cast<int>(b) * L);
-    for (int i = 0; i < m.size(); ++i) dst[i] = m.data()[i];
+    ListFeatureRowsInto(data, *lists[b], out.row(static_cast<int>(b) * L), F);
   }
   return out;
 }
@@ -180,6 +186,13 @@ bool NeuralReranker::LoadModel(const data::Dataset& data, std::istream& in) {
   return nn::LoadParams(in, &params);
 }
 
+bool NeuralReranker::InferBatchLogits(
+    const data::Dataset& /*data*/,
+    const std::vector<const data::ImpressionList*>& /*lists*/,
+    nn::Workspace& /*ws*/, float* /*logits*/) const {
+  return false;
+}
+
 nn::Variable NeuralReranker::BuildLogits(const data::Dataset& data,
                                          const data::ImpressionList& list,
                                          bool training,
@@ -214,9 +227,11 @@ void NeuralReranker::ScoreBatchInto(
 
   std::mt19937_64 rng(0);  // Inference paths must not consume randomness.
 
-  // Everything below is scratch; it comes from (and returns to) the
-  // thread-local arena.
+  // Everything below is scratch. Containers and any graph come from (and
+  // return to) the thread-local arena; flat buffers from the thread's
+  // malloc-backed inference workspace.
   nn::arena::ArenaScope scratch_scope;
+  nn::Workspace& ws = nn::Workspace::ThisThread();
 
   // Group positions by list length; the group order does not affect any
   // output (each list's scores are read back from its own logit block).
@@ -235,24 +250,28 @@ void NeuralReranker::ScoreBatchInto(
       start = end;
       continue;
     }
-    // Per-group scope: feature blocks and the whole forward graph are
-    // reclaimed before the next group runs, keeping the high-water mark at
-    // max-over-groups rather than sum. No-grad mode keeps the graph free of
-    // parent edges and backward closures (inference never calls Backward).
+    // Per-group scopes: feature blocks, workspace buffers and any forward
+    // graph are reclaimed before the next group runs, keeping the
+    // high-water mark at max-over-groups rather than sum.
     nn::arena::ArenaScope group_scope;
-    nn::NoGradScope no_grad;
+    nn::Workspace::Scope ws_scope(ws);
     std::vector<const data::ImpressionList*> group;
     group.reserve(end - start);
     for (size_t g = start; g < end; ++g) group.push_back(lists[order[g]]);
-    nn::Variable logits =
-        BuildBatchLogits(data, group, /*training=*/false, rng);
-    assert(static_cast<size_t>(logits.rows()) == group.size() * L);
+    float* logits = ws.Take(group.size() * L);
+    if (!InferBatchLogits(data, group, ws, logits)) {
+      // The graph path. No-grad mode keeps the graph free of parent edges
+      // and backward closures (inference never calls Backward).
+      nn::NoGradScope no_grad;
+      const nn::Variable graph =
+          BuildBatchLogits(data, group, /*training=*/false, rng);
+      assert(static_cast<size_t>(graph.rows()) == group.size() * L);
+      std::copy(graph.value().data(), graph.value().data() + graph.rows(),
+                logits);
+    }
     for (size_t g = start; g < end; ++g) {
-      std::vector<float>& scores = (*out)[order[g]];
-      const int base = static_cast<int>((g - start) * L);
-      for (size_t i = 0; i < L; ++i) {
-        scores[i] = logits.value().at(base + static_cast<int>(i), 0);
-      }
+      const float* block = logits + (g - start) * L;
+      std::copy(block, block + L, (*out)[order[g]].begin());
     }
     start = end;
   }

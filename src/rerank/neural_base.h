@@ -103,9 +103,11 @@ class NeuralReranker : public Reranker {
   /// `ScoreBatch` into caller-owned storage. `*out` is resized to
   /// `lists.size()` and each inner vector to its list length *before* any
   /// arena scope opens (outputs must never live in the arena — see
-  /// nn/arena.h lifetime rules); all forward-pass temporaries come from
-  /// per-group arena scopes in no-grad mode, so a warm caller that reuses
-  /// `*out` allocates nothing on the heap.
+  /// nn/arena.h lifetime rules). Each same-length group runs the family's
+  /// graph-free `InferBatchLogits` over the thread's `nn::Workspace`, or,
+  /// for families without one, `BuildBatchLogits` in no-grad mode inside a
+  /// per-group arena scope. Either way a warm caller that reuses `*out`
+  /// allocates nothing on the heap.
   void ScoreBatchInto(const data::Dataset& data,
                       const std::vector<const data::ImpressionList*>& lists,
                       std::vector<std::vector<float>>* out) const;
@@ -149,6 +151,22 @@ class NeuralReranker : public Reranker {
       const std::vector<const data::ImpressionList*>& lists, bool training,
       std::mt19937_64& rng) const = 0;
 
+  /// The graph-free inference hook behind `ScoreBatchInto`. A family that
+  /// implements it writes the `B*L` inference logits of a same-length
+  /// group into `logits` (row `b*L + i` is item `i` of `lists[b]`) as a
+  /// straight sequence of kernel calls over `ws`, and returns true. The
+  /// result must be bitwise equal to
+  /// `BuildBatchLogits(data, lists, /*training=*/false, rng).value()` on
+  /// every backend: same kernels, same order, same per-element operands
+  /// (see the `Infer` methods in nn/layers.h). The default returns false,
+  /// and `ScoreBatchInto` then runs `BuildBatchLogits` under a
+  /// `NoGradScope`. The family alone decides; there is no switch. Training
+  /// never calls this.
+  virtual bool InferBatchLogits(
+      const data::Dataset& data,
+      const std::vector<const data::ImpressionList*>& lists,
+      nn::Workspace& ws, float* logits) const;
+
   /// Batch-of-one convenience over `BuildBatchLogits` (training loop,
   /// losses).
   nn::Variable BuildLogits(const data::Dataset& data,
@@ -178,6 +196,13 @@ class NeuralReranker : public Reranker {
 /// `[x_u, x_v, tau_v, normalized initial score]`, `F = q_u + q_v + m + 1`.
 nn::Matrix ListFeatureMatrix(const data::Dataset& data,
                              const data::ImpressionList& list);
+
+/// Writes the rows of `ListFeatureMatrix` without allocating: row `i` goes
+/// to `out + i * row_stride` (`row_stride >= F`). A stride of `B * F`
+/// writes list `b` of a same-length batch time-major, from `out + b * F`.
+void ListFeatureRowsInto(const data::Dataset& data,
+                         const data::ImpressionList& list, float* out,
+                         size_t row_stride);
 
 /// Stacks `ListFeatureMatrix` of each list into one `(B*L x F)` block,
 /// list-major (rows `[b*L, (b+1)*L)` hold list `b`). All lists must share

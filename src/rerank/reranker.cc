@@ -35,16 +35,20 @@ std::vector<int> InitReranker::Rerank(
 }
 
 std::vector<float> NormalizedScores(const data::ImpressionList& list) {
-  std::vector<float> out(list.scores);
-  if (out.empty()) return out;
-  const auto [mn_it, mx_it] = std::minmax_element(out.begin(), out.end());
-  const float mn = *mn_it, mx = *mx_it;
-  if (mx - mn < 1e-9f) {
-    std::fill(out.begin(), out.end(), 0.5f);
-    return out;
-  }
-  for (float& s : out) s = (s - mn) / (mx - mn);
+  std::vector<float> out(list.scores.size());
+  NormalizedScoresInto(list, out.data());
   return out;
+}
+
+void NormalizedScoresInto(const data::ImpressionList& list, float* out,
+                          size_t stride) {
+  const std::vector<float>& in = list.scores;
+  if (in.empty()) return;
+  const auto [mn_it, mx_it] = std::minmax_element(in.begin(), in.end());
+  const float mn = *mn_it, mx = *mx_it;
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i * stride] = mx - mn < 1e-9f ? 0.5f : (in[i] - mn) / (mx - mn);
+  }
 }
 
 float CoverageCosine(const data::Item& a, const data::Item& b) {

@@ -87,6 +87,11 @@ class InitReranker : public Reranker {
 /// estimate.
 std::vector<float> NormalizedScores(const data::ImpressionList& list);
 
+/// `NormalizedScores` without allocating: score `i` goes to
+/// `out[i * stride]`.
+void NormalizedScoresInto(const data::ImpressionList& list, float* out,
+                          size_t stride = 1);
+
 /// Cosine similarity of two items' topic-coverage vectors (0 when either
 /// is all-zero).
 float CoverageCosine(const data::Item& a, const data::Item& b);

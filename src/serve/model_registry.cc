@@ -10,14 +10,13 @@ uint64_t ModelRegistry::Publish(const std::string& slot,
   entry->model_name = model->name();
   entry->model = std::move(model);
   std::lock_guard<std::mutex> lock(mu_);
+  entry->version = ++last_version_[slot];
   auto it = slots_.find(slot);
   if (it == slots_.end()) {
     entry->metrics = std::make_shared<ServingMetrics>();
-    entry->version = 1;
     slots_.emplace(slot, entry);
   } else {
     entry->metrics = it->second->metrics;
-    entry->version = it->second->version + 1;
     it->second = entry;  // The swap: new dequeues see the new model.
   }
   return entry->version;

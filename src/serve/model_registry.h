@@ -27,11 +27,13 @@ struct ServedModel {
   /// `model->name()`, captured at publish (name() is virtual and cheap,
   /// but capturing it makes response attribution allocation-free).
   std::string model_name;
-  /// Monotonically increasing per slot, starting at 1. Monotonicity is
-  /// load-bearing beyond attribution: `serve::ResultCache` keys entries on
-  /// this version, so "versions are never reused" is exactly what makes
-  /// every stale cache entry unreachable the instant a publish lands — a
-  /// recycled version number would resurrect old cached responses.
+  /// Monotonically increasing per slot name, starting at 1, and never
+  /// reused — not even after the slot is removed and published again.
+  /// Monotonicity is load-bearing beyond attribution: `serve::ResultCache`
+  /// keys entries on this version, so "versions are never reused" is
+  /// exactly what makes every stale cache entry unreachable the instant a
+  /// publish lands — a recycled version number would resurrect old cached
+  /// responses.
   uint64_t version = 0;
 };
 
@@ -48,8 +50,10 @@ struct ServedModel {
 class ModelRegistry {
  public:
   /// Publishes `model` as the new current version of `slot`, creating the
-  /// slot on first use. Returns the new version number (1 for a fresh
-  /// slot). The slot's metrics survive the swap.
+  /// slot on first use. Returns the new version number: 1 for a name never
+  /// published before, otherwise one past the highest version the name
+  /// ever had (a removed slot published again continues its count). The
+  /// slot's metrics survive the swap, but not a `Remove`.
   uint64_t Publish(const std::string& slot,
                    std::shared_ptr<const rerank::Reranker> model);
 
@@ -76,6 +80,9 @@ class ModelRegistry {
   /// inside the published `ServedModel`s; on republish the new version
   /// inherits the old one's metrics and increments its version.
   std::map<std::string, std::shared_ptr<const ServedModel>> slots_;
+  /// Slot name -> highest version ever published under it. Kept across
+  /// `Remove`, so a re-created slot never reuses a version.
+  std::map<std::string, uint64_t> last_version_;
 };
 
 }  // namespace rapid::serve

@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "click/dcm.h"
+#include "core/rapid.h"
 #include "datagen/simulator.h"
 #include "nn/variable.h"
+#include "nn/workspace.h"
 #include "rerank/neural_models.h"
 
 namespace rapid {
@@ -74,6 +77,29 @@ TEST(ArenaTest, GlobalStatsAggregateThreadCounters) {
   EXPECT_GT(stats.arena_allocs, 0u);
   EXPECT_GT(stats.reserved_bytes, 0u);
   EXPECT_GT(stats.high_water_bytes, 0u);
+}
+
+// A thread's chunks are freed when it exits, and the process-wide
+// reserved-bytes gauge ("live chunk capacity") must fall with them.
+TEST(ArenaTest, ReservedBytesFallWhenAThreadExits) {
+  if (!arena::Enabled()) GTEST_SKIP() << "arena disabled";
+  const uint64_t before = arena::GlobalArenaStats().reserved_bytes;
+  uint64_t while_alive = 0;
+  size_t thread_reserved = 0;
+  std::thread grower([&] {
+    {
+      arena::ArenaScope scope;
+      std::vector<float> big(3 << 20);  // beyond one 1 MiB chunk
+      big[0] = 1.0f;
+    }
+    thread_reserved = arena::ThreadReservedBytes();
+    while_alive = arena::GlobalArenaStats().reserved_bytes;
+  });
+  grower.join();
+  ASSERT_GT(thread_reserved, size_t{3} << 22);
+  EXPECT_GE(while_alive, before + thread_reserved);
+  EXPECT_EQ(arena::GlobalArenaStats().reserved_bytes, before)
+      << "the exited thread's chunks are still counted as reserved";
 }
 
 class ArenaServingTest : public ::testing::Test {
@@ -168,6 +194,40 @@ TEST_F(ArenaServingTest, NoGradForwardMatchesGradForward) {
     with_grad = model_->ScoreList(data_, list);
   }
   EXPECT_EQ(inference, with_grad);
+}
+
+// The graph-free RAPID forward (NeuralReranker::InferBatchLogits): a warm
+// batched rerank makes no heap allocation, grows neither the arena nor the
+// inference workspace, and leaves the arena only the few container
+// allocations of the batching itself (no per-op Variable or Node).
+TEST_F(ArenaServingTest, WarmRapidRerankBatchPerformsZeroHeapAllocations) {
+  if (!arena::Enabled()) GTEST_SKIP() << "arena disabled";
+  core::RapidConfig rc;  // the default RAPID-pro config
+  rc.train.epochs = 1;
+  core::RapidReranker rapid_model(rc);
+  rapid_model.Fit(data_, lists_, 12);
+  const std::vector<const data::ImpressionList*> ptrs = Ptrs();
+  std::vector<std::vector<int>> out;
+  rapid_model.RerankBatchInto(data_, ptrs, &out);  // Warm-up call.
+  rapid_model.RerankBatchInto(data_, ptrs, &out);
+
+  const nn::Workspace& ws = nn::Workspace::ThisThread();
+  const uint64_t ws_chunks = ws.chunk_mallocs();
+  const arena::ThreadCounters before = arena::CountersThisThread();
+  rapid_model.RerankBatchInto(data_, ptrs, &out);
+  const arena::ThreadCounters after = arena::CountersThisThread();
+
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs)
+      << "warm RAPID RerankBatchInto allocated on the heap";
+  EXPECT_EQ(after.heap_frees, before.heap_frees);
+  EXPECT_EQ(after.chunk_mallocs, before.chunk_mallocs)
+      << "warm RAPID RerankBatchInto grew the arena";
+  EXPECT_EQ(ws.chunk_mallocs(), ws_chunks)
+      << "warm RAPID RerankBatchInto grew the inference workspace";
+  // What is left is the batching's own containers plus one stable_sort
+  // buffer per list; the forward itself allocates nothing per op.
+  EXPECT_LE(after.arena_allocs - before.arena_allocs, 2 * ptrs.size())
+      << "the RAPID forward should not allocate per op";
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "rerank/seq2slate.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -179,7 +180,7 @@ TEST_F(BatchScoreTest, BatchedExactnessSurvivesSnapshotRoundTrip) {
     cfg.hidden_dim = 8;
     core::RapidReranker trained(cfg);
     trained.Fit(data_, train_, 6);
-    const std::string path = ::testing::TempDir() + "/batch_rapid.rsnp";
+    const std::string path = test::UniqueTempPath("batch_rapid.rsnp");
     ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
     const auto restored = serve::Snapshot::LoadAny(path, data_);
     ASSERT_NE(restored, nullptr);
@@ -194,7 +195,7 @@ TEST_F(BatchScoreTest, BatchedExactnessSurvivesSnapshotRoundTrip) {
   {
     rerank::PrmReranker trained(SmallConfig());
     trained.Fit(data_, train_, 6);
-    const std::string path = ::testing::TempDir() + "/batch_prm.rsnp";
+    const std::string path = test::UniqueTempPath("batch_prm.rsnp");
     ASSERT_TRUE(serve::Snapshot::Save(path, trained,
                                       serve::SnapshotFamily::kPrm, data_));
     const auto restored = serve::Snapshot::LoadAny(path, data_);

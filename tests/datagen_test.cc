@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -303,6 +304,46 @@ TEST(HistoryTest, SplitRespectsMaxLenAndRecency) {
     for (int v : seq) {
       EXPECT_TRUE(std::find(data.history[0].begin(), data.history[0].end(),
                             v) != data.history[0].end());
+    }
+  }
+}
+
+// The allocation-free step layout holds exactly SplitHistoryByTopic's
+// sequences, left-padded to max_len, for every user, on soft (GMM) and
+// multi-hot topic coverage alike.
+TEST(HistoryTest, TopicHistoryStepsMatchSplitHistoryByTopic) {
+  for (DatasetKind kind : {DatasetKind::kAppStore, DatasetKind::kTaobao}) {
+    const Dataset data = GenerateDataset(SmallConfig(kind), 14);
+    const int m = data.num_topics;
+    const int qu = data.user_feature_dim();
+    const int qv = data.item_feature_dim();
+    for (int D : {1, 3, 5}) {
+      std::vector<float> steps(static_cast<size_t>(D) * m * (qu + qv));
+      std::vector<float> masks(static_cast<size_t>(D) * m);
+      for (int u = 0; u < static_cast<int>(data.users.size()); ++u) {
+        TopicHistoryStepsInto(data, u, D, steps.data(), masks.data());
+        const auto seqs = SplitHistoryByTopic(data, u, D);
+        for (int t = 0; t < D; ++t) {
+          for (int j = 0; j < m; ++j) {
+            const int len = static_cast<int>(seqs[j].size());
+            const float* row =
+                steps.data() + (static_cast<size_t>(t) * m + j) * (qu + qv);
+            const bool real = t >= D - len;
+            ASSERT_EQ(masks[static_cast<size_t>(t) * m + j], real ? 1.0f : 0.0f)
+                << "user " << u << " step " << t << " topic " << j;
+            std::vector<float> want(qu + qv, 0.0f);
+            if (real) {
+              const Item& item = data.item(seqs[j][t - (D - len)]);
+              std::copy(data.users[u].features.begin(),
+                        data.users[u].features.end(), want.begin());
+              std::copy(item.features.begin(), item.features.end(),
+                        want.begin() + qu);
+            }
+            ASSERT_EQ(std::vector<float>(row, row + qu + qv), want)
+                << "user " << u << " step " << t << " topic " << j;
+          }
+        }
+      }
     }
   }
 }

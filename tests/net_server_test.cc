@@ -31,6 +31,7 @@
 #include "net/server.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -649,7 +650,7 @@ class NetSwapTest : public ::testing::Test {
     cfg.hidden_dim = hidden;
     core::RapidReranker model(cfg);
     model.Fit(data_, train_, seed);
-    const std::string path = ::testing::TempDir() + "/" + file;
+    const std::string path = test::UniqueTempPath(file);
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }

@@ -7,6 +7,7 @@
 #include "nn/gradcheck.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "test_paths.h"
 
 namespace rapid::nn {
 namespace {
@@ -85,7 +86,7 @@ TEST(LstmCellTest, StateShapes) {
 TEST(LstmCellTest, ForgetBiasInitializedToOne) {
   std::mt19937_64 rng(6);
   LstmCell cell(2, 3, rng);
-  const Variable& b = cell.Params()[2];
+  const Variable b = cell.Params()[2];  // a copy: Params() is a temporary
   for (int c = 3; c < 6; ++c) EXPECT_FLOAT_EQ(b.value().at(0, c), 1.0f);
   EXPECT_FLOAT_EQ(b.value().at(0, 0), 0.0f);
 }
@@ -279,7 +280,7 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   std::mt19937_64 rng(20);
   Mlp a({4, 8, 2}, rng);
   Mlp b({4, 8, 2}, rng);  // Different random init.
-  const std::string path = ::testing::TempDir() + "/params.bin";
+  const std::string path = test::UniqueTempPath("params.bin");
   ASSERT_TRUE(SaveParams(path, a.Params()));
   std::vector<Variable> bp = b.Params();
   ASSERT_TRUE(LoadParams(path, &bp));
@@ -293,7 +294,7 @@ TEST(SerializeTest, ShapeMismatchFails) {
   std::mt19937_64 rng(21);
   Mlp a({4, 8, 2}, rng);
   Mlp b({4, 9, 2}, rng);
-  const std::string path = ::testing::TempDir() + "/params2.bin";
+  const std::string path = test::UniqueTempPath("params2.bin");
   ASSERT_TRUE(SaveParams(path, a.Params()));
   std::vector<Variable> bp = b.Params();
   EXPECT_FALSE(LoadParams(path, &bp));

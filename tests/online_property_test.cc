@@ -37,6 +37,7 @@
 #include "proptest.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -219,9 +220,8 @@ TEST_F(OnlineLoopPropertyTest, PublishesKeepVersionsMonotoneAndWrapperIntact) {
                   std::move(model), pulls, cfg);
             });
 
-        const std::string initial_path = ::testing::TempDir() +
-                                         "/online_prop_initial_" +
-                                         std::to_string(trial_id) + ".rsnp";
+        const std::string initial_path = test::UniqueTempPath(
+            "online_prop_initial_" + std::to_string(trial_id) + ".rsnp");
         if (!serve::Snapshot::Save(initial_path, *FittedModel(6), data_)) {
           return false;
         }
@@ -235,7 +235,7 @@ TEST_F(OnlineLoopPropertyTest, PublishesKeepVersionsMonotoneAndWrapperIntact) {
         cfg.max_batch = 4;
         cfg.publish_every_rounds = 1;
         cfg.poll_interval = 5ms;
-        cfg.snapshot_path = ::testing::TempDir() + "/online_prop_pub_" +
+        cfg.snapshot_path = test::UniqueTempPath("online_prop_pub_") +
                             std::to_string(trial_id++) + ".rsnp";
         online::OnlineTrainer trainer(data_, &router, &log, FittedModel(7),
                                       cfg);

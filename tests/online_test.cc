@@ -19,6 +19,7 @@
 #include "online/trainer.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -234,7 +235,7 @@ class OnlineLoopTest : public ::testing::Test {
 
   std::string SnapshotOf(const core::RapidReranker& model,
                          const std::string& file) {
-    const std::string path = ::testing::TempDir() + "/" + file;
+    const std::string path = test::UniqueTempPath(file);
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }
@@ -332,7 +333,7 @@ TEST_F(OnlineLoopTest, TrainerPublishesThroughCanaryGuardedLoadSlot) {
   cfg.max_batch = 8;
   cfg.publish_every_rounds = 1;
   cfg.poll_interval = 10ms;
-  cfg.snapshot_path = ::testing::TempDir() + "/trainer_publish.rsnp";
+  cfg.snapshot_path = test::UniqueTempPath("trainer_publish.rsnp");
   online::OnlineTrainer trainer(data_, &router, &log, FittedModel(7), cfg);
   trainer.Start();
 
@@ -368,7 +369,7 @@ TEST_F(OnlineLoopTest, TrainerWithNoFeedbackSkipsItsShutdownPublish) {
   serve::ServingRouter router(data_, {});
   online::FeedbackLog log;
   online::OnlineTrainerConfig cfg;
-  cfg.snapshot_path = ::testing::TempDir() + "/trainer_skip.rsnp";
+  cfg.snapshot_path = test::UniqueTempPath("trainer_skip.rsnp");
   cfg.poll_interval = 5ms;
   online::OnlineTrainer trainer(data_, &router, &log, FittedModel(8), cfg);
   trainer.Start();
@@ -524,7 +525,7 @@ TEST_F(OnlineLoopTest, ConcurrentServeTrainPublishDropsNothing) {
   trainer_cfg.min_batch = 2;
   trainer_cfg.max_batch = 8;
   trainer_cfg.poll_interval = 10ms;
-  trainer_cfg.snapshot_path = ::testing::TempDir() + "/loop_publish.rsnp";
+  trainer_cfg.snapshot_path = test::UniqueTempPath("loop_publish.rsnp");
   online::OnlineTrainer trainer(data_, &router, &log, FittedModel(7),
                                 trainer_cfg);
 

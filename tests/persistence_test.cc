@@ -4,6 +4,7 @@
 #include "core/rapid.h"
 #include "datagen/simulator.h"
 #include "rerank/neural_models.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -37,7 +38,7 @@ TEST_F(PersistenceTest, PrmSaveLoadPreservesScores) {
   cfg.epochs = 1;
   rerank::PrmReranker trained(cfg);
   trained.Fit(data_, train_, 5);
-  const std::string path = ::testing::TempDir() + "/prm.bin";
+  const std::string path = test::UniqueTempPath("prm.bin");
   ASSERT_TRUE(trained.SaveModel(path));
 
   rerank::PrmReranker restored(cfg);
@@ -54,7 +55,7 @@ TEST_F(PersistenceTest, RapidSaveLoadPreservesScoresAndTheta) {
   cfg.hidden_dim = 8;
   core::RapidReranker trained(cfg);
   trained.Fit(data_, train_, 6);
-  const std::string path = ::testing::TempDir() + "/rapid.bin";
+  const std::string path = test::UniqueTempPath("rapid.bin");
   ASSERT_TRUE(trained.SaveModel(path));
 
   core::RapidReranker restored(cfg);
@@ -71,7 +72,7 @@ TEST_F(PersistenceTest, MismatchedConfigurationFailsToLoad) {
   cfg.hidden_dim = 8;
   core::RapidReranker trained(cfg);
   trained.Fit(data_, train_, 7);
-  const std::string path = ::testing::TempDir() + "/rapid2.bin";
+  const std::string path = test::UniqueTempPath("rapid2.bin");
   ASSERT_TRUE(trained.SaveModel(path));
 
   core::RapidConfig other = cfg;

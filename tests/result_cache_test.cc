@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -15,6 +16,7 @@
 #include "serve/result_cache.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -291,6 +293,50 @@ TEST(RouterCacheTest, SwapMakesStaleEntriesUnreachableAndSweepsThem) {
   EXPECT_NE(stats.ToTable().find("cache hits"), std::string::npos);
 }
 
+// A slot removed and published again must not answer from the removed
+// model's cache. The removal's sweep is asynchronous, so the old model's
+// version-1 entry can outlive the removal; only a version the name never
+// had before keeps it unreachable.
+TEST(RouterCacheTest, RemovedSlotPublishedAgainNeverServesTheOldModelsCache) {
+  const data::Dataset data;
+  serve::RouterConfig cfg;
+  cfg.num_threads = 2;
+  cfg.cache.enabled = true;
+  cfg.cache.capacity = 1 << 14;
+  serve::ServingRouter router(data, cfg);
+  // Thousands of live entries in another slot make every sweep a long
+  // scan; a backlog of them delays the removal's sweep.
+  router.InstallSlot("busy", std::make_shared<RotateReranker>(3));
+  std::vector<std::future<serve::RouterResponse>> fill;
+  for (int i = 0; i < 4000; ++i) {
+    data::ImpressionList busy;
+    for (int k = 0; k < 10; ++k) {
+      busy.items.push_back(i * 10 + k);
+      busy.scores.push_back(1.0f - 0.05f * k);
+    }
+    fill.push_back(router.Submit({"busy", serve::Lane::kHigh, busy}));
+  }
+  for (auto& f : fill) f.get();
+
+  router.InstallSlot("m", std::make_shared<RotateReranker>(1));
+  const data::ImpressionList list = TenItemList();
+  router.Submit({"m", serve::Lane::kHigh, list}).get();
+  ASSERT_TRUE(router.Submit({"m", serve::Lane::kHigh, list}).get().cache_hit);
+
+  for (int i = 0; i < 200; ++i) {
+    router.InstallSlot("other", std::make_shared<RotateReranker>(5));
+  }
+  ASSERT_TRUE(router.RemoveSlot("m"));
+  EXPECT_EQ(router.InstallSlot("m", std::make_shared<RotateReranker>(2)), 2u);
+  const serve::RouterResponse r =
+      router.Submit({"m", serve::Lane::kHigh, list}).get();
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(r.items, Rotated(list.items, 2));
+  EXPECT_EQ(r.model_name, "rotate-2");
+  EXPECT_EQ(r.model_version, 2u);
+  router.Shutdown();
+}
+
 TEST(RouterCacheTest, BypassSlotNeverConsultsTheCache) {
   const data::Dataset data;
   serve::RouterConfig cfg;
@@ -344,9 +390,10 @@ class RouterCacheModelTest : public ::testing::Test {
     model_cfg.hidden_dim = 8;
     model_ = std::make_unique<core::RapidReranker>(model_cfg);
     model_->Fit(data_, train_, /*seed=*/11);
-    // One file per test: ctest runs these tests as parallel processes,
-    // and a shared path lets one process truncate the file another loads.
-    path_ = ::testing::TempDir() + "/result_cache_model_" +
+    // One file per test and process: ctest runs these tests as parallel
+    // processes, and a shared path lets one process truncate the file
+    // another loads.
+    path_ = test::UniqueTempPath("result_cache_model_") +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
             ".rsnp";
     ASSERT_TRUE(serve::Snapshot::Save(path_, *model_, data_));

@@ -18,6 +18,7 @@
 #include "serve/model_registry.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -100,6 +101,20 @@ TEST(ModelRegistryTest, PublishAcquireSwapRemove) {
   EXPECT_EQ(registry.Acquire("a"), nullptr);
   // The removed slot's model outlives the table while referenced.
   EXPECT_EQ(v2->model->Rerank({}, TenItemList()), Rotated(TenItemList().items, 3));
+}
+
+TEST(ModelRegistryTest, RemovedSlotNeverReusesAVersion) {
+  serve::ModelRegistry registry;
+  EXPECT_EQ(registry.Publish("a", std::make_shared<RotateReranker>(1)), 1u);
+  EXPECT_EQ(registry.Publish("a", std::make_shared<RotateReranker>(2)), 2u);
+  ASSERT_TRUE(registry.Remove("a"));
+  EXPECT_EQ(registry.VersionOf("a"), 0u);
+  // The re-created slot continues the name's count, so a result cached
+  // under an old version can never be mistaken for the new model's.
+  EXPECT_EQ(registry.Publish("a", std::make_shared<RotateReranker>(3)), 3u);
+  EXPECT_EQ(registry.VersionOf("a"), 3u);
+  // A name never published before still starts at 1.
+  EXPECT_EQ(registry.Publish("b", std::make_shared<RotateReranker>(1)), 1u);
 }
 
 TEST(AdmissionControllerTest, WatermarksResolveAndClamp) {
@@ -457,7 +472,7 @@ class RouterSnapshotTest : public ::testing::Test {
     cfg.hidden_dim = hidden;
     core::RapidReranker model(cfg);
     model.Fit(data_, train_, seed);
-    const std::string path = ::testing::TempDir() + "/" + file;
+    const std::string path = test::UniqueTempPath(file);
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }

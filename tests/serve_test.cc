@@ -18,6 +18,7 @@
 #include "serve/request_queue.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -62,7 +63,7 @@ class ServeTest : public ::testing::Test {
 
 TEST_F(ServeTest, SnapshotRoundTripIsBitExact) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid.rsnp";
+  const std::string path = test::UniqueTempPath("rapid.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
 
   const auto restored = serve::Snapshot::Load(path, data_);
@@ -85,7 +86,7 @@ TEST_F(ServeTest, SnapshotHeaderCarriesConfig) {
   cfg.diversity_aggregator = core::DiversityAggregator::kMean;
   cfg.diversity_function = core::DiversityFunctionKind::kSaturatingLinear;
   const core::RapidReranker trained = FittedModel(cfg);
-  const std::string path = ::testing::TempDir() + "/rapid_det.rsnp";
+  const std::string path = test::UniqueTempPath("rapid_det.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
 
   core::RapidConfig loaded;
@@ -102,7 +103,7 @@ TEST_F(ServeTest, SnapshotHeaderCarriesConfig) {
 
 TEST_F(ServeTest, SnapshotRejectsMismatchedDatasetAndGarbage) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid_dims.rsnp";
+  const std::string path = test::UniqueTempPath("rapid_dims.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
 
   data::SimConfig other_cfg;
@@ -113,7 +114,7 @@ TEST_F(ServeTest, SnapshotRejectsMismatchedDatasetAndGarbage) {
   EXPECT_EQ(serve::Snapshot::Load(path, other), nullptr);
 
   EXPECT_EQ(serve::Snapshot::Load("/nonexistent/m.rsnp", data_), nullptr);
-  const std::string garbage = ::testing::TempDir() + "/garbage.rsnp";
+  const std::string garbage = test::UniqueTempPath("garbage.rsnp");
   {
     std::ofstream out(garbage, std::ios::binary);
     out << "not a snapshot";
@@ -319,7 +320,7 @@ TEST(RequestQueueTest, SingleLaneDrainStaysFifo) {
 
 TEST_F(ServeTest, ReadConfigRejectsTruncatedAndCorruptFiles) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid_trunc.rsnp";
+  const std::string path = test::UniqueTempPath("rapid_trunc.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
   std::string bytes;
   {
@@ -330,7 +331,7 @@ TEST_F(ServeTest, ReadConfigRejectsTruncatedAndCorruptFiles) {
   }
   ASSERT_GT(bytes.size(), 100u);
 
-  const std::string cut = ::testing::TempDir() + "/rapid_cut.rsnp";
+  const std::string cut = test::UniqueTempPath("rapid_cut.rsnp");
   core::RapidConfig config;
   // Truncations inside magic/version/family/header: header read fails.
   for (size_t size : {size_t{0}, size_t{2}, size_t{6}, size_t{10}, size_t{40},
@@ -359,7 +360,7 @@ TEST_F(ServeTest, ReadConfigRejectsTruncatedAndCorruptFiles) {
 
 TEST_F(ServeTest, RetiredV1AndV2SnapshotsAreRejected) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid_v3.rsnp";
+  const std::string path = test::UniqueTempPath("rapid_v3.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
   std::string bytes;
   {
@@ -370,7 +371,7 @@ TEST_F(ServeTest, RetiredV1AndV2SnapshotsAreRejected) {
   }
   // v1 layout: magic, version=1, header — no family tag. v2 layout: the
   // v3 bytes under version 2 (v3 only appended the canary trailer).
-  const std::string v1_path = ::testing::TempDir() + "/rapid_v1.rsnp";
+  const std::string v1_path = test::UniqueTempPath("rapid_v1.rsnp");
   {
     std::ofstream out(v1_path, std::ios::binary);
     const uint32_t version = 1;
@@ -378,7 +379,7 @@ TEST_F(ServeTest, RetiredV1AndV2SnapshotsAreRejected) {
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
     out.write(bytes.data() + 12, bytes.size() - 12);  // skip family tag
   }
-  const std::string v2_path = ::testing::TempDir() + "/rapid_v2.rsnp";
+  const std::string v2_path = test::UniqueTempPath("rapid_v2.rsnp");
   {
     std::string v2 = bytes;
     const uint32_t version = 2;
@@ -403,7 +404,7 @@ TEST_F(ServeTest, RetiredV1AndV2SnapshotsAreRejected) {
 
 TEST_F(ServeTest, SaveAutoRecordsCanaryProbeReadableFromTrailer) {
   const core::RapidReranker trained = FittedModel();
-  const std::string path = ::testing::TempDir() + "/rapid_canary.rsnp";
+  const std::string path = test::UniqueTempPath("rapid_canary.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(path, trained, data_));
 
   serve::CanaryProbe probe;
@@ -429,7 +430,7 @@ TEST_F(ServeTest, SaveAutoRecordsCanaryProbeReadableFromTrailer) {
   serve::CanaryProbe ignored;
   std::string torn = bytes;
   torn.back() = static_cast<char>(torn.back() ^ 0xFF);
-  const std::string torn_path = ::testing::TempDir() + "/rapid_canary_t.rsnp";
+  const std::string torn_path = test::UniqueTempPath("rapid_canary_t.rsnp");
   std::ofstream(torn_path, std::ios::binary)
       .write(torn.data(), static_cast<std::streamsize>(torn.size()));
   EXPECT_FALSE(serve::Snapshot::ReadCanary(torn_path, &ignored));
@@ -443,7 +444,7 @@ TEST_F(ServeTest, FamilyTaggedSnapshotRoundTripsBaselines) {
   rerank::PrmReranker prm(cfg);
   prm.Fit(data_, train_, 11);
 
-  const std::string path = ::testing::TempDir() + "/prm.rsnp";
+  const std::string path = test::UniqueTempPath("prm.rsnp");
   ASSERT_TRUE(
       serve::Snapshot::Save(path, prm, serve::SnapshotFamily::kPrm, data_));
 
@@ -471,7 +472,7 @@ TEST_F(ServeTest, FamilyTaggedSnapshotRoundTripsBaselines) {
   EXPECT_FALSE(
       serve::Snapshot::Save(path, prm, serve::SnapshotFamily::kRapid, data_));
   const core::RapidReranker rapid = FittedModel();
-  const std::string rapid_path = ::testing::TempDir() + "/rapid_gen.rsnp";
+  const std::string rapid_path = test::UniqueTempPath("rapid_gen.rsnp");
   ASSERT_TRUE(serve::Snapshot::Save(rapid_path, rapid,
                                     serve::SnapshotFamily::kRapid, data_));
   const auto rapid_restored = serve::Snapshot::LoadAny(rapid_path, data_);

@@ -26,6 +26,7 @@
 #include "serve/stats_merge.h"
 #include "shard/ring.h"
 #include "shard/shard_router.h"
+#include "test_paths.h"
 
 namespace rapid {
 namespace {
@@ -402,7 +403,7 @@ class ShardRolloutTest : public ::testing::Test {
     cfg.hidden_dim = hidden;
     core::RapidReranker model(cfg);
     model.Fit(data_, train_, seed);
-    const std::string path = ::testing::TempDir() + "/" + file;
+    const std::string path = test::UniqueTempPath(file);
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }
